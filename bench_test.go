@@ -31,7 +31,6 @@ import (
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
-	"github.com/netdpsyn/netdpsyn/internal/core/kernels"
 	"github.com/netdpsyn/netdpsyn/internal/datagen"
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 	"github.com/netdpsyn/netdpsyn/internal/experiments"
@@ -418,9 +417,8 @@ func BenchmarkFollowIngest(b *testing.B) {
 // BenchmarkIngestDecode isolates the decode half of the data plane:
 // one TON trace rendered to CSV bytes once, decoded per op through
 // the streaming CSV path. Two arms share the input — "fast" is the
-// byte-scanning decoder default builds ship (pinned explicitly, so
-// the comparison is meaningful under -tags purego too), "reference"
-// is the encoding/csv path it replaced — so the ratio between them is
+// byte-scanning decoder production streams use, "reference" is the
+// encoding/csv path it replaced — so the ratio between them is
 // the data-plane speedup, measured not asserted. Reports rows/sec;
 // with BENCH_STAGE_JSON set, the fast arm merges an "ingest-decode"
 // stage into the trajectory artifact (the pipeline's own "decode"
@@ -575,22 +573,18 @@ type stageTimingsFile struct {
 }
 
 // kernelMeta stamps the compute substrate the numbers were measured
-// on: the compiled kernel variant (optimized vs purego), whether GUM
-// ran its float32 dense-cell arena (benches always use the default
-// float64), and the instruction-set baseline. cmd/benchtraj refuses
-// to compare trajectories across different substrates — a purego run
-// regressing against an optimized baseline is a build-matrix mixup,
-// not a performance regression.
+// on: the architecture and its instruction-set baseline.
+// cmd/benchtraj refuses to compare trajectories across different
+// substrates — an arm64 run regressing against an amd64 baseline is
+// a build-matrix mixup, not a performance regression.
 type kernelMeta struct {
-	Variant string `json:"variant"`
-	Cells32 bool   `json:"cells32"`
 	GOARCH  string `json:"goarch"`
 	GOAMD64 string `json:"goamd64,omitempty"`
 }
 
 // benchKernelMeta describes this test binary's substrate.
 func benchKernelMeta() *kernelMeta {
-	m := &kernelMeta{Variant: kernels.Variant(), GOARCH: runtime.GOARCH}
+	m := &kernelMeta{GOARCH: runtime.GOARCH}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "GOAMD64" {

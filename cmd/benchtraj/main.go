@@ -43,8 +43,6 @@ type memEntry struct {
 
 // kernelEntry mirrors bench_test.go's kernelMeta.
 type kernelEntry struct {
-	Variant string `json:"variant"`
-	Cells32 bool   `json:"cells32"`
 	GOARCH  string `json:"goarch"`
 	GOAMD64 string `json:"goamd64"`
 }
@@ -63,8 +61,7 @@ type stageFile struct {
 
 // kernelMismatch reports why the two emissions are not comparable, or
 // "" when they are. Emissions measured on different compute substrates
-// (purego vs optimized kernels, float32 vs float64 dense cells, a
-// different architecture or instruction-set baseline) differ by
+// (a different architecture or instruction-set baseline) differ by
 // construction — comparing them reads as a huge regression or a
 // phantom win, so benchtraj refuses instead. A baseline that predates
 // the metadata (nil Kernel) compares with a note: old baselines stay
@@ -75,10 +72,6 @@ func kernelMismatch(baseline, current *stageFile) string {
 		return ""
 	}
 	switch {
-	case b.Variant != c.Variant:
-		return fmt.Sprintf("kernel variant %q vs %q", b.Variant, c.Variant)
-	case b.Cells32 != c.Cells32:
-		return fmt.Sprintf("cells32 %v vs %v", b.Cells32, c.Cells32)
 	case b.GOARCH != c.GOARCH:
 		return fmt.Sprintf("GOARCH %q vs %q", b.GOARCH, c.GOARCH)
 	case b.GOAMD64 != c.GOAMD64:

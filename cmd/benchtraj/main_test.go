@@ -65,7 +65,7 @@ func TestCompareZeroBaselineStage(t *testing.T) {
 }
 
 func TestKernelMismatch(t *testing.T) {
-	opt := &kernelEntry{Variant: "optimized", GOARCH: "amd64", GOAMD64: "v1"}
+	opt := &kernelEntry{GOARCH: "amd64", GOAMD64: "v1"}
 	same := *opt
 	cases := []struct {
 		name    string
@@ -77,10 +77,8 @@ func TestKernelMismatch(t *testing.T) {
 		{"baseline predates metadata", nil, opt, ""},
 		{"current predates metadata", opt, nil, ""},
 		{"identical", opt, &same, ""},
-		{"variant differs", opt, &kernelEntry{Variant: "purego", GOARCH: "amd64", GOAMD64: "v1"}, "variant"},
-		{"cells32 differs", opt, &kernelEntry{Variant: "optimized", Cells32: true, GOARCH: "amd64", GOAMD64: "v1"}, "cells32"},
-		{"goarch differs", opt, &kernelEntry{Variant: "optimized", GOARCH: "arm64"}, "GOARCH"},
-		{"goamd64 differs", opt, &kernelEntry{Variant: "optimized", GOARCH: "amd64", GOAMD64: "v3"}, "GOAMD64"},
+		{"goarch differs", opt, &kernelEntry{GOARCH: "arm64"}, "GOARCH"},
+		{"goamd64 differs", opt, &kernelEntry{GOARCH: "amd64", GOAMD64: "v3"}, "GOAMD64"},
 	}
 	for _, tc := range cases {
 		got := kernelMismatch(&stageFile{Kernel: tc.base}, &stageFile{Kernel: tc.cur})

@@ -125,56 +125,6 @@ func (e *engine) parallelForWorker(n int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// parallelForWorkerChunked is parallelForWorker with tasks handed out
-// in contiguous chunks of the given size: one atomic claim (and one
-// busy-accounting window) covers chunk tasks instead of one. For huge
-// task counts — a published-marginal store with thousands of
-// marginals fanning out per round — this shards the loop across
-// goroutines without paying per-task handout overhead, while dynamic
-// chunk claiming still balances uneven task costs. chunk <= 1
-// degrades to parallelForWorker. The determinism contract is
-// unchanged: tasks still see only (worker slot, task index).
-func (e *engine) parallelForWorkerChunked(n, chunk int, fn func(worker, i int)) {
-	if chunk <= 1 || e.workers <= 1 || n <= chunk {
-		e.parallelForWorker(n, fn)
-		return
-	}
-	w := e.workers
-	if blocks := (n + chunk - 1) / chunk; w > blocks {
-		w = blocks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				lo := (int(next.Add(1)) - 1) * chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				if e.active != nil {
-					e.active.Add(1)
-				}
-				start := time.Now()
-				for i := lo; i < hi; i++ {
-					fn(worker, i)
-				}
-				e.busy.Add(int64(time.Since(start)))
-				if e.active != nil {
-					e.active.Add(-1)
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-}
-
 // parallelForErr is parallelFor for fallible tasks. All tasks run to
 // completion; the error reported is the lowest-index failure, so the
 // outcome matches a sequential left-to-right loop.

@@ -34,16 +34,6 @@ type GUMConfig struct {
 	// its own (Seed, round, marginal)-derived RNG, so the output is
 	// identical for any worker count.
 	Workers int
-	// Cells32 stores the dense arena's per-cell counts and move
-	// quotas as float32 instead of float64, cutting the hot arrays'
-	// cache footprint by a third (vals+stamp per cell: 8 bytes
-	// instead of 12) for large cell spaces. The arena only ever holds
-	// integers — unit-increment tallies and stochastically rounded
-	// quotas — and float32 is exact for integers below 2²⁴, so
-	// synthesis output stays byte-identical to the float64 arena for
-	// any realistic record count (the equivalence suite asserts it).
-	// Off by default; a cache lever for huge dense marginals.
-	Cells32 bool
 	// denseMode overrides the per-marginal dense/sparse counting
 	// decision for tests: the two paths are contractually
 	// byte-identical, and the equivalence suite forces each in turn.
@@ -175,17 +165,6 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 		}
 	}
 	codes := make([]int32, maxAttrs) // applyPlan's cell-decode buffer
-	// Chunked plan fan-out: with a huge published-marginal store the
-	// per-task handout overhead (one atomic claim plus busy-clock
-	// sampling per marginal) starts to show, so tasks are claimed in
-	// contiguous shards of ~4 chunks per worker — small enough to
-	// balance uneven marginal sizes, large enough to amortize the
-	// handout. Scheduling never reaches the output (plans are pure
-	// functions of (snapshot, target, alpha, seed)).
-	planChunk := len(g.targets) / (eng.workers * 4)
-	if planChunk > 64 {
-		planChunk = 64
-	}
 	// Dirty-column tracking: ds differs from snap only in columns the
 	// previous round's moves touched (a duplicate move rewrites every
 	// column, a replace move only its marginal's attributes), so the
@@ -202,10 +181,10 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 		}
 		allDirty = false
 		base := it * len(g.targets)
-		eng.parallelForWorkerChunked(len(g.targets), planChunk, func(w, ti int) {
+		eng.parallelForWorker(len(g.targets), func(w, ti int) {
 			sc := scratch[w]
 			if sc == nil {
-				sc = newGumScratch(n, g.denseCells, g.cfg.Cells32)
+				sc = newGumScratch(n, g.denseCells)
 				scratch[w] = sc
 			}
 			seed := taskSeed(g.cfg.Seed, "gum-update", base+ti)
@@ -269,21 +248,16 @@ func (p *gumPlan) reset() {
 // update. It reads only ds and the (freshly reseeded) scratch RNG, so
 // concurrent plans are safe and reproducible; all working memory
 // comes from the scratch arena and the plan's own buffers, so the
-// steady state allocates ~nothing. The dense (float64 or Cells32)
-// and sparse counting paths are byte-identical by contract: every
-// ordered traversal — and in particular every RNG draw — happens in
-// ascending cell order (or the gap-sorted under order), never in map
-// order.
+// steady state allocates ~nothing. The dense and sparse counting
+// paths are byte-identical by contract: every ordered traversal — and
+// in particular every RNG draw — happens in ascending cell order (or
+// the gap-sorted under order), never in map order.
 func planUpdate(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
 	plan.reset()
-	if !t.dense {
-		planUpdateSparse(ds, t, alpha, dupProb, sc, plan)
-		return
-	}
-	if sc.vals32 != nil {
-		planUpdateDense(ds, t, alpha, dupProb, sc, plan, sc.vals32)
+	if t.dense {
+		planUpdateDense(ds, t, alpha, dupProb, sc, plan)
 	} else {
-		planUpdateDense(ds, t, alpha, dupProb, sc, plan, sc.vals)
+		planUpdateSparse(ds, t, alpha, dupProb, sc, plan)
 	}
 }
 
@@ -311,20 +285,20 @@ func shufflePool(rng *rand.Rand, pool []int) {
 	}
 }
 
-// planUpdateDense is planUpdate's arena path, generic over the cell
-// element type (float64, or float32 under Cells32). The phase loops
-// live in the kernels package; this function owns the phase order
-// and every RNG draw.
-func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan, vals []F) {
+// planUpdateDense is planUpdate's arena path. The phase loops live in
+// the kernels package; this function owns the phase order and every
+// RNG draw.
+func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
 	n := ds.NumRows()
 	rng := sc.rng
+	vals := sc.vals
 	// Phase 1: current cell of every record plus cell counts, fused
 	// into one row sweep (this runs once per marginal per round over
 	// every record — the inner loop of the ≈90%-of-runtime synthesis
 	// stage).
 	countE, quotaE, repE := sc.phases()
 	cells := len(t.counts)
-	denseTally(sc, vals, ds, t.m, cells, countE)
+	sc.denseTally(ds, t.m, countE)
 	// Phase 2: L1 error and over/under split from the touched cells
 	// and the precomputed target-bearing cells. Only cells with
 	// nonzero current or target > gumDust can contribute; gaps below
@@ -357,14 +331,13 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	// rounding: with ceil(), every cell would keep contributing ≥1
 	// record per round no matter how small alpha gets, and a large
 	// marginal set would thrash forever instead of settling. The
-	// summed quotas pre-size the pool and move buffers. Quotas are
-	// integral, so storing them as F is exact in both cell modes.
+	// summed quotas pre-size the pool and move buffers.
 	poolCap := 0
 	cellOf := sc.cellOf[:n]
 	stamp := sc.stamp
 	for _, o := range over {
 		q := stochasticRound(rng, o.Gap*alpha)
-		vals[o.Cell] = F(q)
+		vals[o.Cell] = q
 		stamp[o.Cell] = quotaE
 		poolCap += int(q)
 	}

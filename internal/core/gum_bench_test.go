@@ -40,7 +40,7 @@ func benchGUMSetup(rows int) (*dataset.Encoded, *GUM) {
 func BenchmarkGUMPlanUpdate(b *testing.B) {
 	const rows = 50_000
 	ds, g := benchGUMSetup(rows)
-	sc := newGumScratch(rows, g.denseCells, false)
+	sc := newGumScratch(rows, g.denseCells)
 	var plan gumPlan
 	b.SetBytes(int64(ds.NumAttrs()) * rows * 4)
 	b.ReportAllocs()
@@ -59,7 +59,7 @@ func BenchmarkGUMPlanUpdate(b *testing.B) {
 func BenchmarkGUMSteadyState(b *testing.B) {
 	const rows = 50_000
 	ds, g := benchGUMSetup(rows)
-	sc := newGumScratch(rows, g.denseCells, false)
+	sc := newGumScratch(rows, g.denseCells)
 	var plan gumPlan
 	i := 0
 	run := func() {

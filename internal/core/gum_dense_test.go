@@ -59,10 +59,9 @@ func sameEncoded(t *testing.T, tag string, got, want *dataset.Encoded) {
 	}
 }
 
-// TestGUMDenseSparseEquivalence is the tentpole's hard contract:
-// every counting/classification configuration — the dense arena
-// (float64 or Cells32), the sparse map fallback, the linear gap
-// sweep, the sort-merge route, and the L2-blocked tally — must
+// TestGUMDenseSparseEquivalence is GUM's hard contract: every
+// counting/classification configuration — the dense arena, the sparse
+// map fallback, the linear gap sweep, and the sort-merge route — must
 // synthesize byte-identical output at a fixed seed: same plans, same
 // moves, same RNG consumption, same per-round errors.
 func TestGUMDenseSparseEquivalence(t *testing.T) {
@@ -70,16 +69,15 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 	ds, ms := gumEquivSetup(rows)
 	cfg := GUMConfig{Iterations: 25, InitAlpha: 1, AlphaDecay: 0.84, DuplicateProb: 0.5, Seed: 42, Workers: 1}
 
-	run := func(mode int, cells32 bool) (*dataset.Encoded, []float64) {
+	run := func(mode int) (*dataset.Encoded, []float64) {
 		c := cfg
 		c.denseMode = mode
-		c.Cells32 = cells32
 		d := cloneEncoded(ds)
 		errs := NewGUM(ms, rows, c).Run(d)
 		return d, errs
 	}
-	dDense, errsDense := run(gumDenseForced, false)
-	dSparse, errsSparse := run(gumSparseForced, false)
+	dDense, errsDense := run(gumDenseForced)
+	dSparse, errsSparse := run(gumSparseForced)
 
 	if len(errsDense) != len(errsSparse) {
 		t.Fatalf("round counts differ: %d vs %d", len(errsDense), len(errsSparse))
@@ -92,39 +90,18 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 	sameEncoded(t, "sparse vs dense", dSparse, dDense)
 
 	// Auto mode must agree too (these marginals are all dense-eligible).
-	dAuto, _ := run(gumDenseAuto, false)
+	dAuto, _ := run(gumDenseAuto)
 	sameEncoded(t, "auto vs dense", dAuto, dDense)
-
-	// The float32 arena: counts and quotas are integral and far below
-	// 2²⁴, so Cells32 must not change a single byte.
-	d32, errs32 := run(gumDenseForced, true)
-	for i := range errsDense {
-		if errs32[i] != errsDense[i] {
-			t.Fatalf("round %d error differs under Cells32: %v vs %v", i, errs32[i], errsDense[i])
-		}
-	}
-	sameEncoded(t, "cells32 vs dense", d32, dDense)
 
 	// Force the sort-merge route (sweep disabled) and the linear sweep
 	// (always on): byte-identical by the ascending-cell contract.
 	defer func(f int) { gumSweepFactor = f }(gumSweepFactor)
 	gumSweepFactor = 0
-	dSort, _ := run(gumDenseForced, false)
+	dSort, _ := run(gumDenseForced)
 	sameEncoded(t, "sort-merge vs dense", dSort, dDense)
 	gumSweepFactor = 1 << 30
-	dSweep, _ := run(gumDenseForced, false)
+	dSweep, _ := run(gumDenseForced)
 	sameEncoded(t, "forced-sweep vs dense", dSweep, dDense)
-	gumSweepFactor = 8
-
-	// Force the L2-blocked tally by shrinking the tile budget to a few
-	// cache lines: the touched SET is block-ordered instead of
-	// first-touch-ordered, which must be invisible downstream.
-	defer func(b int) { gumTileBytes = b }(gumTileBytes)
-	gumTileBytes = 256
-	dTiled, _ := run(gumDenseForced, false)
-	sameEncoded(t, "tiled vs dense", dTiled, dDense)
-	dTiled32, _ := run(gumDenseForced, true)
-	sameEncoded(t, "tiled cells32 vs dense", dTiled32, dDense)
 }
 
 // samePlan compares two plans field by field.
@@ -164,7 +141,7 @@ func TestGumScratchEpochReuse(t *testing.T) {
 	const rows = 600
 	ds, ms := gumEquivSetup(rows)
 	g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
-	reused := newGumScratch(rows, g.denseCells, false)
+	reused := newGumScratch(rows, g.denseCells)
 	codes := make([]int32, 4)
 
 	var gotPlan, wantPlan gumPlan
@@ -176,7 +153,7 @@ func TestGumScratchEpochReuse(t *testing.T) {
 		reused.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, reused, &gotPlan)
 
-		fresh := newGumScratch(rows, g.denseCells, false)
+		fresh := newGumScratch(rows, g.denseCells)
 		fresh.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, fresh, &wantPlan)
 
@@ -193,7 +170,7 @@ func TestGumScratchEpochWrap(t *testing.T) {
 	const rows = 600
 	ds, ms := gumEquivSetup(rows)
 	g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
-	sc := newGumScratch(rows, g.denseCells, false)
+	sc := newGumScratch(rows, g.denseCells)
 	// Simulate ~4 billion prior plans: cells last touched by the very
 	// first epochs (1..3) still hold those stamps, and the wrap is
 	// about to reissue exactly those epoch values. Without the
@@ -215,7 +192,7 @@ func TestGumScratchEpochWrap(t *testing.T) {
 		sc.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, sc, &gotPlan)
 
-		fresh := newGumScratch(rows, g.denseCells, false)
+		fresh := newGumScratch(rows, g.denseCells)
 		fresh.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, fresh, &wantPlan)
 

@@ -31,18 +31,6 @@ const gumDenseCellFloor = 1 << 20
 // 0 / huge to force each path.
 var gumSweepFactor = 8
 
-// gumTileBytes is the dense-arena footprint (vals + stamp) above
-// which the tally runs in cell-blocked passes sized to stay
-// L2-resident, instead of one scatter pass over the whole arena.
-// Probed once from sysfs with a safe fallback. Var for tests.
-var gumTileBytes = kernels.L2Bytes()
-
-// gumTileMaxPasses caps how many blocked passes a single tally may
-// take: each pass re-reads the cellOf stream, so past this point the
-// stream traffic outweighs the locality win and one scatter pass is
-// cheaper.
-const gumTileMaxPasses = 8
-
 // cellGap is one cell's distance from its target count.
 type cellGap = kernels.CellGap
 
@@ -65,19 +53,16 @@ type gumScratch struct {
 	pool    []int     // movable rows drawn from over cells
 
 	// Dense arena, sized to the largest dense-eligible marginal's
-	// cell space. Exactly one of vals/vals32 is allocated (Cells32
-	// selects float32 cells, halving the arena's cache footprint);
-	// the chosen array holds per-cell counts during the tally and
+	// cell space. vals holds per-cell counts during the tally and
 	// per-cell move quotas during the pool scan. rep holds each under
 	// cell's representative row (-1 = under member with no rep yet).
 	// stamp gates every read: a cell is live only while stamp[c]
 	// matches the current phase's epoch, so nothing is ever zeroed
 	// wholesale between plans.
-	vals   []float64
-	vals32 []float32
-	rep    []int32
-	stamp  []uint32
-	epoch  uint32
+	vals  []float64
+	rep   []int32
+	stamp []uint32
+	epoch uint32
 
 	// Sparse fallback for marginals whose projected cell space is too
 	// large to arena. The maps are cleared per plan; iteration order
@@ -95,19 +80,15 @@ type gumScratch struct {
 
 // newGumScratch sizes an arena for rows-record plans; denseCells is
 // the largest dense marginal's cell space (0 if every marginal takes
-// the sparse path). cells32 picks the float32 arena.
-func newGumScratch(rows, denseCells int, cells32 bool) *gumScratch {
+// the sparse path).
+func newGumScratch(rows, denseCells int) *gumScratch {
 	sc := &gumScratch{
 		cellOf: make([]int, rows),
 		pcg:    rand.NewPCG(0, 0),
 	}
 	sc.rng = rand.New(sc.pcg)
 	if denseCells > 0 {
-		if cells32 {
-			sc.vals32 = make([]float32, denseCells)
-		} else {
-			sc.vals = make([]float64, denseCells)
-		}
+		sc.vals = make([]float64, denseCells)
 		sc.rep = make([]int32, denseCells)
 		sc.stamp = make([]uint32, denseCells)
 	}
@@ -138,61 +119,26 @@ func (sc *gumScratch) phases() (countE, quotaE, repE uint32) {
 	return sc.epoch - 2, sc.epoch - 1, sc.epoch
 }
 
-// floatBytes reports the in-memory size of the arena element type.
-func floatBytes[F kernels.Float]() int {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // denseTally fills cellOf with every snapshot row's flattened cell
 // and tallies the counts into the arena at countE, leaving
 // sc.touched holding every nonzero cell (unsorted, first-touch
 // order). The stride accumulation and the count pass are fused into
 // ONE row sweep through the kernels package — not len(Attrs)
-// accumulation passes plus a count pass. When the arena's working
-// set (vals + stamp over the marginal's cells) exceeds the L2
-// budget, the fused pass is split: cellOf is computed in one
-// streaming pass, then the tally scatters in ascending cell blocks
-// that stay cache-resident. Blocked or not, the touched SET is
-// identical and planUpdate orders cells before any ordered use, so
-// the plan is byte-identical either way.
-func denseTally[F kernels.Float](sc *gumScratch, vals []F, ds *dataset.Encoded, m *marginal.Marginal, cells int, countE uint32) {
-	n := ds.NumRows()
-	cellOf := sc.cellOf[:n]
-	stamp := sc.stamp
+// accumulation passes plus a count pass.
+func (sc *gumScratch) denseTally(ds *dataset.Encoded, m *marginal.Marginal, countE uint32) {
+	cellOf := sc.cellOf[:ds.NumRows()]
 	touched := sc.touched[:0]
-
-	if footprint := cells * (floatBytes[F]() + 4); footprint > gumTileBytes && n >= cells {
-		blockCells := gumTileBytes / (floatBytes[F]() + 4)
-		if minBlock := (cells + gumTileMaxPasses - 1) / gumTileMaxPasses; blockCells < minBlock {
-			blockCells = minBlock
-		}
-		m.CellsInto(ds, cellOf)
-		for lo := 0; lo < cells; lo += blockCells {
-			hi := lo + blockCells
-			if hi > cells {
-				hi = cells
-			}
-			touched = kernels.TallyRange(cellOf, vals, stamp, countE, lo, hi, touched)
-		}
-		sc.touched = touched
-		return
-	}
-
 	attrs, strides := m.Attrs, m.Strides()
 	switch len(attrs) {
 	case 2:
 		touched = kernels.Cells2Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			strides[0], vals, stamp, countE, touched)
+			strides[0], sc.vals, sc.stamp, countE, touched)
 	case 3:
 		touched = kernels.Cells3Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			ds.Cols[attrs[2]], strides[0], strides[1], vals, stamp, countE, touched)
+			ds.Cols[attrs[2]], strides[0], strides[1], sc.vals, sc.stamp, countE, touched)
 	default:
 		m.CellsInto(ds, cellOf)
-		touched = kernels.Tally(cellOf, vals, stamp, countE, touched)
+		touched = kernels.Tally(cellOf, sc.vals, sc.stamp, countE, touched)
 	}
 	sc.touched = touched
 }

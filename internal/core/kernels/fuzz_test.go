@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzKernelTally feeds arbitrary encoded rows through the compiled
+// FuzzKernelTally feeds arbitrary encoded rows through the 8-lane
 // tally kernels and the reference loops and requires byte-identical
 // results: same cellOf, same touched order, same counts, same stamps.
-// The CI fuzz-smoke job runs this for a bounded time in the default
-// build, where the kernels under test are the optimized 8-lane
-// bodies; the corpus doubles as a regression suite under -tags
-// purego.
+// The CI fuzz-smoke job runs this for a bounded time.
 func FuzzKernelTally(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(5), uint8(3), uint8(2))
 	f.Add([]byte{}, uint8(1), uint8(1), uint8(1))
@@ -75,27 +72,14 @@ func FuzzKernelTally(f *testing.F) {
 			t.Fatal("Cells2Tally diverges")
 		}
 
-		// Plain + blocked tallies over the 3-way cells: the blocked
-		// union must match the flat tally cell for cell.
+		// Plain tally over the precomputed 3-way cells.
 		clear(vals)
 		clear(stamp)
-		flat := Tally(refCellOf, vals, stamp, epoch, nil)
 		clear(refVals)
 		clear(refStamp)
-		var blocked []int
-		block := cells/3 + 1
-		for lo := 0; lo < cells; lo += block {
-			hi := min(lo+block, cells)
-			blocked = TallyRange(refCellOf, refVals, refStamp, epoch, lo, hi, blocked)
-		}
-		if len(flat) != len(blocked) {
-			t.Fatalf("blocked touched %d cells, flat %d", len(blocked), len(flat))
-		}
-		for c := 0; c < cells; c++ {
-			if stamp[c] != refStamp[c] || (stamp[c] == epoch && vals[c] != refVals[c]) {
-				t.Fatalf("blocked tally disagrees with flat at cell %d", c)
-			}
-		}
+		touched = Tally(refCellOf, vals, stamp, epoch, nil)
+		refTouched = refTally(refCellOf, refVals, refStamp, epoch, nil)
+		check("Tally", refCellOf, refCellOf, touched, refTouched, vals, refVals, stamp, refStamp)
 	})
 }
 

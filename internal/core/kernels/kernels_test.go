@@ -2,18 +2,13 @@ package kernels
 
 import (
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 )
 
 // The equivalence suite: every exported kernel against its ref.go
-// twin, float64 and float32, across shapes that exercise the 8-lane
-// bodies, their scalar tails, and empty input. Under -tags purego
-// the exports ARE the refs, so these tests pin the reference against
-// itself — the cross-variant guarantee then comes from running this
-// same suite in the default build.
+// twin, across shapes that exercise the 8-lane bodies, their scalar
+// tails, and empty input.
 
 var rowCases = []int{0, 1, 7, 8, 9, 15, 16, 63, 257, 2000}
 
@@ -59,23 +54,23 @@ func TestCellsMatchReference(t *testing.T) {
 
 // arena is a pair of tally arenas (kernel under test vs reference)
 // over the same cell space.
-type arena[F Float] struct {
-	vals, refVals   []F
+type arena struct {
+	vals, refVals   []float64
 	stamp, refStamp []uint32
 	epoch           uint32
 }
 
-func newArena[F Float](cells int, epoch uint32) *arena[F] {
-	return &arena[F]{
-		vals:     make([]F, cells),
-		refVals:  make([]F, cells),
+func newArena(cells int, epoch uint32) *arena {
+	return &arena{
+		vals:     make([]float64, cells),
+		refVals:  make([]float64, cells),
 		stamp:    make([]uint32, cells),
 		refStamp: make([]uint32, cells),
 		epoch:    epoch,
 	}
 }
 
-func (a *arena[F]) check(t *testing.T, tag string, touched, refTouched []int) {
+func (a *arena) check(t *testing.T, tag string, touched, refTouched []int) {
 	t.Helper()
 	if !slices.Equal(touched, refTouched) {
 		t.Fatalf("%s: touched diverges from reference: %v vs %v", tag, touched, refTouched)
@@ -90,7 +85,7 @@ func (a *arena[F]) check(t *testing.T, tag string, touched, refTouched []int) {
 	}
 }
 
-func testTally[F Float](t *testing.T, tag string) {
+func TestTallyMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	const cells = 16 * 9 * 11
 	for _, n := range rowCases {
@@ -99,73 +94,44 @@ func testTally[F Float](t *testing.T, tag string) {
 		refCellOf := make([]int, n)
 
 		// 2-way fused.
-		a := newArena[F](cells, 7)
+		a := newArena(cells, 7)
 		got := Cells2Tally(cellOf, cols[0], cols[1], 9, a.vals, a.stamp, a.epoch, nil)
 		want := refCells2Tally(refCellOf, cols[0], cols[1], 9, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, tag+"/Cells2Tally", got, want)
+		a.check(t, "Cells2Tally", got, want)
 		if !slices.Equal(cellOf, refCellOf) {
-			t.Fatalf("%s: Cells2Tally cellOf diverges", tag)
+			t.Fatal("Cells2Tally cellOf diverges")
 		}
 
 		// 3-way fused.
-		a = newArena[F](cells, 9)
+		a = newArena(cells, 9)
 		got = Cells3Tally(cellOf, cols[0], cols[1], cols[2], 99, 11, a.vals, a.stamp, a.epoch, nil)
 		want = refCells3Tally(refCellOf, cols[0], cols[1], cols[2], 99, 11, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, tag+"/Cells3Tally", got, want)
+		a.check(t, "Cells3Tally", got, want)
 		if !slices.Equal(cellOf, refCellOf) {
-			t.Fatalf("%s: Cells3Tally cellOf diverges", tag)
+			t.Fatal("Cells3Tally cellOf diverges")
 		}
 
-		// Plain tally over precomputed cells, then blocked passes over
-		// the same rows: same touched SET in block order.
-		a = newArena[F](cells, 11)
+		// Plain tally over precomputed cells.
+		a = newArena(cells, 11)
 		got = Tally(cellOf, a.vals, a.stamp, a.epoch, nil)
 		want = refTally(refCellOf, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, tag+"/Tally", got, want)
-
-		a = newArena[F](cells, 13)
-		ar := newArena[F](cells, 13)
-		got, want = nil, nil
-		for lo := 0; lo < cells; lo += 301 {
-			hi := min(lo+301, cells)
-			got = TallyRange(cellOf, a.vals, a.stamp, a.epoch, lo, hi, got)
-			want = refTallyRange(cellOf, ar.refVals, ar.refStamp, a.epoch, lo, hi, want)
-		}
-		a.refVals, a.refStamp = ar.refVals, ar.refStamp
-		a.check(t, tag+"/TallyRange", got, want)
-		// Blocked and unblocked tallies agree as sets with identical
-		// per-cell counts (order differs by construction).
-		flat := newArena[F](cells, 13)
-		flatTouched := refTally(cellOf, flat.refVals, flat.refStamp, 13, nil)
-		if len(flatTouched) != len(got) {
-			t.Fatalf("%s: blocked touched size %d, flat %d", tag, len(got), len(flatTouched))
-		}
-		for _, c := range got {
-			if flat.refStamp[c] != 13 || flat.refVals[c] != a.vals[c] {
-				t.Fatalf("%s: blocked cell %d disagrees with flat tally", tag, c)
-			}
-		}
+		a.check(t, "Tally", got, want)
 	}
 }
 
-func TestTallyMatchReference(t *testing.T) {
-	testTally[float64](t, "f64")
-	testTally[float32](t, "f32")
-}
-
-func testGapSweep[F Float](t *testing.T, tag string) {
+func TestGapSweepMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, cells := range []int{0, 1, 8, 9, 100, 1584} {
 		for trial := 0; trial < 20; trial++ {
 			const epoch = 21
-			vals := make([]F, cells)
+			vals := make([]float64, cells)
 			stamp := make([]uint32, cells)
 			counts := make([]float64, cells)
 			var touched, tcells []int
 			for c := 0; c < cells; c++ {
 				if rng.Float64() < 0.4 {
 					stamp[c] = epoch
-					vals[c] = F(rng.IntN(50))
+					vals[c] = float64(rng.IntN(50))
 					touched = append(touched, c)
 				}
 				counts[c] = rng.Float64() * 40
@@ -176,25 +142,20 @@ func testGapSweep[F Float](t *testing.T, tag string) {
 			gotO, gotU, gotL1 := GapSweep(vals, stamp, epoch, counts, tcells, 0.5, nil, nil)
 			wantO, wantU, wantL1 := refGapSweep(vals, stamp, epoch, counts, tcells, 0.5, nil, nil)
 			if gotL1 != wantL1 || !slices.Equal(gotO, wantO) || !slices.Equal(gotU, wantU) {
-				t.Fatalf("%s: GapSweep(cells=%d) diverges from reference", tag, cells)
+				t.Fatalf("GapSweep(cells=%d) diverges from reference", cells)
 			}
 			// The merge route over the sorted touched set must agree
 			// with the sweep byte for byte — that is planUpdate's
 			// route-independence contract.
 			mO, mU, mL1 := GapMerge(touched, vals, counts, tcells, 0.5, nil, nil)
 			if mL1 != wantL1 || !slices.Equal(mO, wantO) || !slices.Equal(mU, wantU) {
-				t.Fatalf("%s: GapMerge(cells=%d) diverges from GapSweep", tag, cells)
+				t.Fatalf("GapMerge(cells=%d) diverges from GapSweep", cells)
 			}
 		}
 	}
 }
 
-func TestGapSweepMatchReference(t *testing.T) {
-	testGapSweep[float64](t, "f64")
-	testGapSweep[float32](t, "f32")
-}
-
-func testPoolRepScan[F Float](t *testing.T, tag string) {
+func TestPoolRepScanMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	const cells = 97
 	for _, n := range rowCases {
@@ -203,26 +164,26 @@ func testPoolRepScan[F Float](t *testing.T, tag string) {
 			cellOf[r] = rng.IntN(cells)
 		}
 		const epoch = 31
-		vals := make([]F, cells)
-		refVals := make([]F, cells)
+		vals := make([]float64, cells)
+		refVals := make([]float64, cells)
 		stamp := make([]uint32, cells)
 		want := 0
 		for c := 0; c < cells; c++ {
 			if rng.Float64() < 0.3 {
 				q := rng.IntN(4)
 				stamp[c] = epoch
-				vals[c], refVals[c] = F(q), F(q)
+				vals[c], refVals[c] = float64(q), float64(q)
 				want += q
 			}
 		}
 		gotPool := PoolScan(cellOf, vals, stamp, epoch, nil, want)
 		wantPool := refPoolScan(cellOf, refVals, stamp, epoch, nil, want)
 		if !slices.Equal(gotPool, wantPool) {
-			t.Fatalf("%s: PoolScan(n=%d) diverges from reference", tag, n)
+			t.Fatalf("PoolScan(n=%d) diverges from reference", n)
 		}
 		for c := range vals {
 			if stamp[c] == epoch && vals[c] != refVals[c] {
-				t.Fatalf("%s: PoolScan leftover quota at cell %d: %v vs %v", tag, c, vals[c], refVals[c])
+				t.Fatalf("PoolScan leftover quota at cell %d: %v vs %v", c, vals[c], refVals[c])
 			}
 		}
 
@@ -240,71 +201,7 @@ func testPoolRepScan[F Float](t *testing.T, tag string) {
 		RepScan(cellOf, rep, rstamp, epoch, need)
 		refRepScan(cellOf, refRep, rstamp, epoch, need)
 		if !slices.Equal(rep, refRep) {
-			t.Fatalf("%s: RepScan(n=%d) diverges from reference", tag, n)
+			t.Fatalf("RepScan(n=%d) diverges from reference", n)
 		}
-	}
-}
-
-func TestPoolRepScanMatchReference(t *testing.T) {
-	testPoolRepScan[float64](t, "f64")
-	testPoolRepScan[float32](t, "f32")
-}
-
-func TestVariantName(t *testing.T) {
-	if v := Variant(); v != "optimized" && v != "purego" {
-		t.Fatalf("Variant() = %q, want optimized or purego", v)
-	}
-}
-
-func TestL2BytesSane(t *testing.T) {
-	if b := L2Bytes(); b < 64<<10 || b > 64<<20 {
-		t.Fatalf("L2Bytes() = %d, outside sane clamp", b)
-	}
-}
-
-func TestParseCacheSize(t *testing.T) {
-	cases := map[string]int{
-		"2048K":   2048 << 10,
-		"1M":      1 << 20,
-		"512K":    512 << 10,
-		"65536":   65536,
-		"bogus":   0,
-		"":        0,
-		"4K":      0, // below clamp
-		"999999M": 0, // above clamp
-		"-2048K":  0,
-		"1.5M":    0,
-	}
-	for in, want := range cases {
-		if got := parseCacheSize(in); got != want {
-			t.Fatalf("parseCacheSize(%q) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-// TestProbeSysfsL2 exercises the probe against a synthetic sysfs
-// tree: an instruction L2 to skip, then the unified L2 to pick up,
-// and the fallback when nothing parses.
-func TestProbeSysfsL2(t *testing.T) {
-	dir := t.TempDir()
-	write := func(idx int, level, typ, size string) {
-		d := filepath.Join(dir, "index"+string(rune('0'+idx)))
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, v := range map[string]string{"level": level, "type": typ, "size": size} {
-			if err := os.WriteFile(filepath.Join(d, name), []byte(v+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	write(0, "1", "Data", "32K")
-	write(1, "2", "Instruction", "1024K")
-	write(2, "2", "Unified", "2048K")
-	if got := probeSysfsL2(dir); got != 2048<<10 {
-		t.Fatalf("probeSysfsL2 = %d, want %d", got, 2048<<10)
-	}
-	if got := probeSysfsL2(filepath.Join(dir, "missing")); got != l2Fallback {
-		t.Fatalf("probeSysfsL2(missing) = %d, want fallback %d", got, l2Fallback)
 	}
 }

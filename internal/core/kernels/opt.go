@@ -1,21 +1,14 @@
-//go:build !purego
-
 package kernels
 
 import "math"
 
-// The optimized variant: 8-lane unrolled loops with re-sliced
-// operands so the compiler can prove bounds once per lane group, and
-// a windowed all-miss fast path in GapSweep. Cell-indexed accesses
-// (vals[c], stamp[c]) keep their bounds checks — cells are
-// data-dependent — but the row-major streams dominate and those
-// unroll cleanly. Every function here must stay byte-identical to
+// 8-lane unrolled loops with re-sliced operands, so the compiler can
+// prove bounds once per lane group, and a windowed all-miss fast path
+// in GapSweep. Cell-indexed accesses (vals[c], stamp[c]) keep their
+// bounds checks — cells are data-dependent — but the row-major
+// streams dominate and those unroll cleanly. Every function here must stay byte-identical to
 // its ref.go twin; the in-package tests and FuzzKernelTally compare
 // them element for element.
-
-// Variant names the compiled kernel implementation; it is stamped
-// into bench metadata so trajectories never compare across variants.
-func Variant() string { return "optimized" }
 
 // Cells2 computes out[r] = a[r]*s0 + b[r] for every row.
 func Cells2(out []int, a, b []int32, s0 int) {
@@ -113,7 +106,7 @@ func AccumStride(out []int, col []int32, s int, init bool) {
 
 // tallyOne folds one cell into the stamped arena, appending
 // first-seen cells to touched.
-func tallyOne[F Float](c int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func tallyOne(c int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	if stamp[c] != epoch {
 		stamp[c] = epoch
 		vals[c] = 1
@@ -126,7 +119,7 @@ func tallyOne[F Float](c int, vals []F, stamp []uint32, epoch uint32, touched []
 
 // Tally counts rows per cell into the epoch-stamped dense arena and
 // appends first-seen cells to touched. See refTally for semantics.
-func Tally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func Tally(cells []int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	n := len(cells)
 	r := 0
 	for ; r+8 <= n; r += 8 {
@@ -146,35 +139,9 @@ func Tally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched
 	return touched
 }
 
-// TallyRange is Tally restricted to cells in [lo, hi) — one pass of
-// the L2-blocked tally. Most cells miss the block, so the unrolled
-// body front-loads the cheap range test.
-func TallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo, hi int, touched []int) []int {
-	n := len(cells)
-	r := 0
-	for ; r+8 <= n; r += 8 {
-		cv := cells[r : r+8 : r+8]
-		for i := 0; i < 8; i++ {
-			c := cv[i]
-			if c < lo || c >= hi {
-				continue
-			}
-			touched = tallyOne(c, vals, stamp, epoch, touched)
-		}
-	}
-	for ; r < n; r++ {
-		c := cells[r]
-		if c < lo || c >= hi {
-			continue
-		}
-		touched = tallyOne(c, vals, stamp, epoch, touched)
-	}
-	return touched
-}
-
 // Cells2Tally fuses the two-attribute cell computation with Tally,
 // recording per-row cells in cellOf.
-func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func Cells2Tally(cellOf []int, a, b []int32, s0 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	n := len(cellOf)
 	if len(a) < n || len(b) < n {
 		panic("kernels: column shorter than cellOf")
@@ -210,7 +177,7 @@ func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []
 }
 
 // Cells3Tally fuses the three-attribute cell computation with Tally.
-func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func Cells3Tally(cellOf []int, a, b, c []int32, s0, s1 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	n := len(cellOf)
 	if len(a) < n || len(b) < n || len(c) < n {
 		panic("kernels: column shorter than cellOf")
@@ -253,7 +220,7 @@ func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, s
 // the per-cell classification runs only where counts actually
 // landed. Term order is ascending-cell either way — byte-identical
 // to the reference.
-func GapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+func GapSweep(vals []float64, stamp []uint32, epoch uint32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	cells := len(counts)
 	if len(vals) < cells || len(stamp) < cells {
 		panic("kernels: arena shorter than counts")
@@ -292,7 +259,7 @@ func GapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float64,
 			} else if !live {
 				continue
 			}
-			d := float64(vals[i]) - counts[i]
+			d := vals[i] - counts[i]
 			l1 += math.Abs(d)
 			if d > dust {
 				over = append(over, CellGap{i, d})
@@ -314,7 +281,7 @@ func GapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float64,
 		} else if !live {
 			continue
 		}
-		d := float64(vals[c]) - counts[c]
+		d := vals[c] - counts[c]
 		l1 += math.Abs(d)
 		if d > dust {
 			over = append(over, CellGap{c, d})
@@ -328,14 +295,14 @@ func GapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float64,
 // GapMerge is the sorted-touched twin of GapSweep for large cell
 // spaces. The merge is pointer-chasing either way; the reference
 // loop is already optimal.
-func GapMerge[F Float](touched []int, vals []F, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+func GapMerge(touched []int, vals []float64, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	return refGapMerge(touched, vals, counts, tcells, dust, over, under)
 }
 
 // PoolScan collects donor rows in row order, consuming per-cell
 // quotas from the stamped arena; want (the summed quota) bounds the
 // scan — once every quota unit is consumed no later row can qualify.
-func PoolScan[F Float](cellOf []int, vals []F, stamp []uint32, epoch uint32, pool []int, want int) []int {
+func PoolScan(cellOf []int, vals []float64, stamp []uint32, epoch uint32, pool []int, want int) []int {
 	n := len(cellOf)
 	r := 0
 	for ; r+8 <= n && want > 0; r += 8 {

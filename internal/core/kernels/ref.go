@@ -3,10 +3,10 @@ package kernels
 import "math"
 
 // This file holds the straight-line reference implementation of every
-// kernel. It compiles in both variants: the purego build re-exports
-// these directly, and the optimized build's tests (and
-// FuzzKernelTally) compare against them in-process. Any change here
-// changes the contract for both variants — keep the loops boring.
+// kernel: the oracle the unrolled bodies in opt.go are held to. The
+// equivalence tests and FuzzKernelTally compare against these loops
+// in-process. Any change here changes the contract — keep the loops
+// boring.
 
 // refCells2 computes out[r] = a[r]*s0 + b[r] for every row.
 func refCells2(out []int, a, b []int32, s0 int) {
@@ -40,26 +40,8 @@ func refAccumStride(out []int, col []int32, s int, init bool) {
 // a cell seen for the first time this epoch is stamped, set to 1 and
 // appended to touched (in first-seen row order); later hits
 // increment. Returns the grown touched slice.
-func refTally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func refTally(cells []int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	for _, c := range cells {
-		if stamp[c] != epoch {
-			stamp[c] = epoch
-			vals[c] = 1
-			touched = append(touched, c)
-		} else {
-			vals[c]++
-		}
-	}
-	return touched
-}
-
-// refTallyRange is refTally restricted to cells in [lo, hi) — one
-// pass of the L2-blocked tally. Out-of-block cells are skipped.
-func refTallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo, hi int, touched []int) []int {
-	for _, c := range cells {
-		if c < lo || c >= hi {
-			continue
-		}
 		if stamp[c] != epoch {
 			stamp[c] = epoch
 			vals[c] = 1
@@ -73,7 +55,7 @@ func refTallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32,
 
 // refCells2Tally fuses refCells2 with refTally, recording each row's
 // cell in cellOf on the way through.
-func refCells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func refCells2Tally(cellOf []int, a, b []int32, s0 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	for r := range cellOf {
 		c := int(a[r])*s0 + int(b[r])
 		cellOf[r] = c
@@ -89,7 +71,7 @@ func refCells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp
 }
 
 // refCells3Tally is the three-attribute analogue of refCells2Tally.
-func refCells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func refCells3Tally(cellOf []int, a, b, c []int32, s0, s1 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
 	for r := range cellOf {
 		cc := int(a[r])*s0 + int(b[r])*s1 + int(c[r])
 		cellOf[r] = cc
@@ -113,7 +95,7 @@ func refCells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F
 // excluded from over/under (they still count toward l1), matching
 // GUM's dust rule. The l1 accumulation order is ascending-cell,
 // identical to refGapMerge over the same union.
-func refGapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+func refGapSweep(vals []float64, stamp []uint32, epoch uint32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	var l1 float64
 	ki, kn := 0, len(tcells)
 	for c := range counts {
@@ -129,7 +111,7 @@ func refGapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float
 		} else if !live {
 			continue
 		}
-		d := float64(vals[c]) - counts[c]
+		d := vals[c] - counts[c]
 		l1 += math.Abs(d)
 		if d > dust {
 			over = append(over, CellGap{c, d})
@@ -144,7 +126,7 @@ func refGapSweep[F Float](vals []F, stamp []uint32, epoch uint32, counts []float
 // too large to sweep linearly: touched must be the ascending sorted
 // list of cells counted this epoch; it is merged against tcells.
 // Byte-identical to refGapSweep on the same arena.
-func refGapMerge[F Float](touched []int, vals []F, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+func refGapMerge(touched []int, vals []float64, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	var l1 float64
 	ki, kn := 0, len(tcells)
 	for _, c := range touched {
@@ -158,7 +140,7 @@ func refGapMerge[F Float](touched []int, vals []F, counts []float64, tcells []in
 		if ki < kn && tcells[ki] == c {
 			ki++
 		}
-		d := float64(vals[c]) - counts[c]
+		d := vals[c] - counts[c]
 		l1 += math.Abs(d)
 		if d > dust {
 			over = append(over, CellGap{c, d})
@@ -182,7 +164,7 @@ func refGapMerge[F Float](touched []int, vals []F, counts []float64, tcells []in
 // so stopping early is invisible in the output. Row order is part of
 // the determinism contract — the pool feeds a seeded shuffle
 // downstream.
-func refPoolScan[F Float](cellOf []int, vals []F, stamp []uint32, epoch uint32, pool []int, want int) []int {
+func refPoolScan(cellOf []int, vals []float64, stamp []uint32, epoch uint32, pool []int, want int) []int {
 	for r := 0; r < len(cellOf) && want > 0; r++ {
 		if c := cellOf[r]; stamp[c] == epoch && vals[c] >= 1 {
 			vals[c]--

@@ -7,9 +7,9 @@ import (
 
 // CSV decoder seam.
 //
-// CSVStream decodes through a rowDecoder, and two implementations are
-// compiled into every build — the same shape internal/core/kernels
-// uses for its optimized/reference pairs:
+// CSVStream decodes through a rowDecoder. There are two
+// implementations — the same shape internal/core/kernels uses for its
+// kernel/reference pairs:
 //
 //   - refDecoder (codec_ref.go) wraps encoding/csv. It is the
 //     semantics oracle: quoting, blank-line skipping, line accounting,
@@ -22,10 +22,10 @@ import (
 //     the stream to encoding/csv, so the reference defines every edge
 //     case the fast path does not take.
 //
-// Which one NewCSVStream picks is a build-tag selection (codec_opt.go
-// vs codec_purego.go), and the equivalence tests plus FuzzCSVStream
-// hold the two to identical decoded batches AND identical error
-// strings — the codec analogue of the kernels opt≡ref contract.
+// NewCSVStream always decodes through the fast decoder. The
+// equivalence tests plus FuzzCSVStream hold the two to identical
+// decoded batches AND identical error strings — the codec analogue of
+// the kernels opt≡ref contract.
 
 // rowDecoder decodes CSV records batch-at-a-time into a table,
 // interning categorical values through t's dictionaries. Header is
@@ -77,16 +77,14 @@ func headerPositions(schema *Schema, header []string) ([]int, error) {
 }
 
 // NewReferenceCSVStream is NewCSVStream pinned to the encoding/csv
-// reference decoder regardless of build tags — the oracle side of
-// differential tests, fuzzing, and decode benchmarks.
+// reference decoder — the oracle side of differential tests, fuzzing,
+// and decode benchmarks.
 func NewReferenceCSVStream(r io.Reader, schema *Schema, batchRows int) (*CSVStream, error) {
 	return newCSVStream(r, schema, batchRows, newRefRowDecoder)
 }
 
-// NewFastCSVStream is NewCSVStream pinned to the byte-scanning fast
-// decoder regardless of build tags, so a -tags purego build can still
-// exercise and gate the fast path (it is pure Go too; the tag only
-// governs which decoder production streams select).
+// NewFastCSVStream is NewCSVStream under the name that pairs it with
+// NewReferenceCSVStream in differential tests and decode benchmarks.
 func NewFastCSVStream(r io.Reader, schema *Schema, batchRows int) (*CSVStream, error) {
-	return newCSVStream(r, schema, batchRows, newFastRowDecoder)
+	return NewCSVStream(r, schema, batchRows)
 }

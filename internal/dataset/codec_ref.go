@@ -6,9 +6,9 @@ import (
 )
 
 // refDecoder is the reference rowDecoder: encoding/csv record reads,
-// per-field string materialization, map-keyed interning. Compiled into
-// every build as the semantics oracle for the fast decoder (see
-// codec.go); the purego build also serves production streams with it.
+// per-field string materialization, map-keyed interning. It is the
+// semantics oracle for the fast decoder (see codec.go), which hands
+// quoted records to encoding/csv.
 type refDecoder struct {
 	cr     *csv.Reader
 	header []string

@@ -420,8 +420,7 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 		fmt.Fprintf(&body, "10.0.%d.%d,%d,%d,%s\n", i/256, i%256, 1000+i, 40+i%1000, []string{"TCP", "UDP", "ICMP"}[i%3])
 	}
 	src := &repeatReader{header: []byte("srcip,ts,byt,proto\n"), body: body.Bytes()}
-	// Pin the fast decoder so the gate also holds under -tags purego.
-	s, err := NewFastCSVStream(src, schema, 512)
+	s, err := NewCSVStream(src, schema, 512)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -62,10 +62,10 @@ type BatchSource interface {
 // construction, a torn or mistyped row fails at the batch that
 // contains it, naming the line and field.
 //
-// Decoding goes through the build-selected rowDecoder (see codec.go):
-// the byte-scanning fast decoder in default builds, the encoding/csv
-// reference under -tags purego. Both yield identical batches and
-// identical errors — that equivalence is tested and fuzzed.
+// Decoding goes through the byte-scanning fast decoder (see codec.go),
+// which hands quoted records to the encoding/csv reference. The fast
+// decoder and the reference yield identical batches and identical
+// errors — that equivalence is tested and fuzzed.
 type CSVStream struct {
 	schema    *Schema
 	dec       rowDecoder
@@ -79,7 +79,7 @@ type CSVStream struct {
 // every schema field; extra columns are ignored) and returns a stream
 // positioned at the first record. batchRows <= 0 selects the default.
 func NewCSVStream(r io.Reader, schema *Schema, batchRows int) (*CSVStream, error) {
-	return newCSVStream(r, schema, batchRows, newRowDecoder)
+	return newCSVStream(r, schema, batchRows, newFastRowDecoder)
 }
 
 func newCSVStream(r io.Reader, schema *Schema, batchRows int, mk func(io.Reader) (rowDecoder, error)) (*CSVStream, error) {

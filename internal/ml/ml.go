@@ -108,6 +108,37 @@ func AlignLabels(ref, t *dataset.Table) []int {
 	return out
 }
 
+// AlignFeatures re-codes the categorical feature columns of X — the
+// design matrix Features(t) returned — through the reference table's
+// dictionaries, in place. A table that shares the reference's
+// dictionaries comes out unchanged; one re-loaded from CSV (codes in
+// first-appearance order) then yields the same features. Values the
+// reference never saw map to one code past its dictionary.
+func AlignFeatures(ref, t *dataset.Table, X [][]float64) {
+	li := t.Schema().LabelIndex()
+	j := 0
+	for c := range t.Schema().Fields {
+		if c == li {
+			continue
+		}
+		refDict, dict := ref.Dict(c), t.Dict(c)
+		if refDict != nil && dict != nil {
+			recode := make([]float64, dict.Len())
+			for code := range recode {
+				rc, ok := refDict.Lookup(dict.Value(code))
+				if !ok {
+					rc = refDict.Len()
+				}
+				recode[code] = float64(rc)
+			}
+			for _, x := range X {
+				x[j] = recode[int(x[j])]
+			}
+		}
+		j++
+	}
+}
+
 // Accuracy returns the fraction of agreeing predictions.
 func Accuracy(yTrue, yPred []int) float64 {
 	if len(yTrue) == 0 || len(yTrue) != len(yPred) {

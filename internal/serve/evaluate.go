@@ -414,8 +414,10 @@ func scoreAgainstRaw(res *EvaluationResult, raw, synth *netdpsyn.Table, req Eval
 
 // evalFeatures is the shared feature extraction of the ML and MIA
 // metrics: raw train/test splits and the synthesized table, all with
-// label codes aligned to the raw table's dictionary (a synthesized
-// CSV re-loaded from disk assigns codes in first-appearance order).
+// label and categorical feature codes aligned to the raw table's
+// dictionaries (a synthesized CSV re-loaded from disk assigns codes
+// in first-appearance order, so without the alignment the scores
+// would depend on which copy of the release was read).
 type evalFeatureSet struct {
 	trainX, testX, synthX [][]float64
 	trainY, testY, synthY []int
@@ -441,6 +443,7 @@ func evalFeatures(rawRef, train, test, synth *netdpsyn.Table) (*evalFeatureSet, 
 	if fs.synthX, fs.synthY, kSynth, err = ml.Features(synth); err != nil {
 		return nil, err
 	}
+	ml.AlignFeatures(rawRef, synth, fs.synthX)
 	if aligned := ml.AlignLabels(rawRef, synth); aligned != nil {
 		fs.synthY = aligned
 	}

@@ -29,8 +29,15 @@ import (
 // URL and the finished job's id.
 func registerAndSynthesize(t *testing.T, ts *httptest.Server, ceiling float64) (string, string) {
 	t.Helper()
+	return registerAndSynthesizeSeed(t, ts, ceiling, 7)
+}
+
+// registerAndSynthesizeSeed is registerAndSynthesize over the 400-row
+// trace generated from the given data seed.
+func registerAndSynthesizeSeed(t *testing.T, ts *httptest.Server, ceiling float64, dataSeed uint64) (string, string) {
+	t.Helper()
 	client := ts.Client()
-	csvBody, label := flowCSV(t, 400)
+	csvBody, label := flowCSVSeed(t, 400, dataSeed)
 	// strconv, not %g: a %g-rendered ceiling like 1e+09 loses its "+"
 	// to query-string decoding and 400s.
 	url := fmt.Sprintf("%s/datasets?schema=flow&label=%s&budget_rho=%s&budget_delta=1e-5",
@@ -499,5 +506,65 @@ func TestEvaluateRestartDurability(t *testing.T) {
 	}
 	if math.Abs(after.Evaluation.RhoCharged-jobRho) > 1e-12 {
 		t.Fatalf("restored ρ charged = %v, want %v", after.Evaluation.RhoCharged, jobRho)
+	}
+}
+
+// TestEvaluateScoresIndependentOfReleaseCopy: the same release scores
+// the same whether the evaluation reads the in-memory result or the
+// result spool re-read after a restart. The re-read CSV interns
+// categorical values (proto) in first-appearance order, so the scores
+// hold only if the synthesized features are re-coded through the raw
+// table's dictionaries.
+func TestEvaluateScoresIndependentOfReleaseCopy(t *testing.T) {
+	dir := t.TempDir()
+	opts := serve.Options{MaxConcurrentJobs: 1, Workers: 1, StateDir: dir}
+	jobRho, err := netdpsyn.RhoFromEpsDelta(1.0, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalReq := func(synthID string) serve.EvaluationRequest {
+		return serve.EvaluationRequest{
+			JobID:   synthID,
+			Metrics: []string{"ml", "mia"},
+			Models:  []string{"DT", "LR"},
+			Epsilon: 1.0, Delta: 1e-5, Seed: 7,
+		}
+	}
+	evaluate := func(ts *httptest.Server, dsURL, synthID string) *serve.EvaluationResult {
+		t.Helper()
+		var ack serve.EvaluationResponse
+		if code := postJSON(t, ts.Client(), dsURL+"/evaluate", evalReq(synthID), &ack); code != http.StatusAccepted {
+			t.Fatalf("evaluate = %d", code)
+		}
+		ji := pollJob(t, ts.Client(), ts.URL, ack.JobID)
+		if ji.State != serve.JobDone || ji.Evaluation == nil {
+			t.Fatalf("evaluation: %s (%s)", ji.State, ji.Error)
+		}
+		return ji.Evaluation
+	}
+
+	s := newTestServer(t, opts)
+	ts := httptest.NewServer(s.Handler())
+	dsURL, synthID := registerAndSynthesizeSeed(t, ts, 10*jobRho, 8)
+	dsPath := strings.TrimPrefix(dsURL, ts.URL)
+	inMemory := evaluate(ts, dsURL, synthID)
+	ts.Close()
+	if err := s.Shutdown(shutdownCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, opts)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer func() { _ = s2.Shutdown(shutdownCtx(t)) }()
+	reRead := evaluate(ts2, ts2.URL+dsPath, synthID)
+
+	for _, model := range evalReq(synthID).Models {
+		if a, b := inMemory.ML[model], reRead.ML[model]; a != b {
+			t.Errorf("%s ML scores: in memory %+v, re-read %+v", model, a, b)
+		}
+		if a, b := inMemory.MIA[model], reRead.MIA[model]; a != b {
+			t.Errorf("%s MIA scores: in memory %+v, re-read %+v", model, a, b)
+		}
 	}
 }

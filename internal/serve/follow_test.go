@@ -8,15 +8,19 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -736,5 +740,166 @@ func TestListJobs(t *testing.T) {
 	}
 	if code := getJSON(t, ts.Client(), ts.URL+"/jobs?dataset=ds-99", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown dataset = %d, want 404", code)
+	}
+}
+
+// gatedBody is a request body that reports its first Read and then
+// blocks until released. Sent with Expect: 100-continue, the client
+// reads it only after the server's handler has started reading the
+// body, so started proves the PUT is inside its handler.
+type gatedBody struct {
+	started chan struct{}
+	release chan struct{}
+	once    bool
+	r       io.Reader
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	if !g.once {
+		g.once = true
+		close(g.started)
+		<-g.release
+	}
+	return g.r.Read(p)
+}
+
+// TestShutdownWithOpenFollowStream: Shutdown while a follower streams
+// a follow job's result.csv through the daemon's own listener must
+// not wait on that stream before sealing the feed (the stream ends
+// only once the feed is sealed). A window PUT already inside its
+// handler lands first; a PUT after the drain began gets 503. The
+// follower then receives every acknowledged window's rows and a clean
+// EOF.
+func TestShutdownWithOpenFollowStream(t *testing.T) {
+	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 1, AllowVolatileFeed: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	daemonURL := "http://" + ln.Addr().String()
+
+	csvBody, label := sortedFlowCSV(t, 600)
+	span := flowSpan(t, csvBody, label, 3)
+	cuts := cutBuckets(t, csvBody, label, span)
+	if len(cuts) < 3 {
+		t.Fatalf("want ≥ 3 buckets, got %d", len(cuts))
+	}
+	cuts = cuts[:3]
+	info, code := register(t, ts, fmt.Sprintf("schema=flow&label=%s&feed=1&span=%d&budget_rho=1&budget_delta=1e-5", label, span), "")
+	if code != http.StatusCreated {
+		t.Fatalf("feed register = %d", code)
+	}
+	var ack serve.SynthesisResponse
+	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, Follow: true}
+	if code := postJSON(t, ts.Client(), ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
+		t.Fatalf("follow submit = %d", code)
+	}
+	if _, code, body := putWindow(t, ts, info.ID, cuts[0].bucket, cuts[0].csv); code != http.StatusCreated {
+		t.Fatalf("PUT window 0 = %d (%s)", code, body)
+	}
+	waitWindowsDone(t, ts, ack.JobID, 1)
+
+	// The follower streams through the daemon's listener: the
+	// connection Shutdown's HTTP drain would otherwise wait on.
+	resp, err := http.Get(daemonURL + "/jobs/" + ack.JobID + "/result.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow result.csv = %d", resp.StatusCode)
+	}
+	type readResult struct {
+		body []byte
+		err  error
+	}
+	streamed := make(chan readResult, 1)
+	go func() {
+		b, err := io.ReadAll(resp.Body)
+		streamed <- readResult{b, err}
+	}()
+
+	if _, code, body := putWindow(t, ts, info.ID, cuts[1].bucket, cuts[1].csv); code != http.StatusCreated {
+		t.Fatalf("PUT window 1 = %d (%s)", code, body)
+	}
+	waitWindowsDone(t, ts, ack.JobID, 2)
+
+	// The third window's PUT is inside its handler when Shutdown starts.
+	gb := &gatedBody{started: make(chan struct{}), release: make(chan struct{}), r: strings.NewReader(cuts[2].csv)}
+	release := sync.OnceFunc(func() { close(gb.release) })
+	defer release() // a failed assertion must not leave the PUT blocking ts.Close
+	put, err := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/datasets/%s/windows/%d", ts.URL, info.ID, cuts[2].bucket), gb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put.ContentLength = int64(len(cuts[2].csv))
+	put.Header.Set("Expect", "100-continue")
+	slowClient := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+	putCode := make(chan int, 1)
+	go func() {
+		r, err := slowClient.Do(put)
+		if err != nil {
+			putCode <- -1
+			return
+		}
+		r.Body.Close()
+		putCode <- r.StatusCode
+	}()
+	<-gb.started
+
+	start := time.Now()
+	shutErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		shutErr <- s.Shutdown(ctx)
+	}()
+	// Once the drain has begun a PUT is refused up front (503), before
+	// the sealed-bucket check that would answer 409.
+	for {
+		_, code, _ := putWindow(t, ts, info.ID, cuts[0].bucket, cuts[0].csv)
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if code != http.StatusConflict || time.Since(start) > 10*time.Second {
+			t.Fatalf("PUT during shutdown = %d after %v, want 503 once the drain begins", code, time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	release()
+	if code := <-putCode; code != http.StatusCreated {
+		t.Fatalf("in-flight PUT = %d, want 201", code)
+	}
+	if err := <-shutErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("shutdown took %v with an open follow stream", elapsed)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+
+	got := <-streamed
+	if got.err != nil {
+		t.Fatalf("follow stream ended with %v, want clean EOF", got.err)
+	}
+	j, err := s.WaitJob(ack.JobID, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := j.Snapshot(); snap.State != serve.JobDone || snap.WindowsDone != len(cuts) {
+		t.Fatalf("follow job after shutdown = %s, %d windows; want done, %d", snap.State, snap.WindowsDone, len(cuts))
+	}
+	final, code := fetchCSV(t, ts, ack.JobID)
+	if code != http.StatusOK {
+		t.Fatalf("result.csv after shutdown = %d", code)
+	}
+	if string(got.body) != final {
+		t.Fatalf("follower got %d bytes, the finished result is %d", len(got.body), len(final))
 	}
 }

@@ -253,7 +253,9 @@ func TestAutoCompaction(t *testing.T) {
 
 // TestUnknownRecordTypeSkipped: a record journaled by a future daemon
 // version replays as a counted skip, and the records around it still
-// apply — forward compatibility, not corruption.
+// apply — forward compatibility, not corruption. The charge after it
+// was journaled by an older daemon whose Config carried a field since
+// removed; it replays with the fields that remain.
 func TestUnknownRecordTypeSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
@@ -261,13 +263,18 @@ func TestUnknownRecordTypeSkipped(t *testing.T) {
 	appendCharge(t, s, "ds-1", "job-1", 0.25)
 	s.Close()
 
+	foreign, err := os.ReadFile(filepath.Join("testdata", "foreign_records.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	jp := filepath.Join(dir, journalName)
 	f, err := os.OpenFile(jp, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintln(f, `{"seq":3,"t":"lease","lease":{"holder":"future-daemon"}}`)
-	fmt.Fprintln(f, `{"seq":4,"t":"charge","ch":{"job_id":"job-2","dataset_id":"ds-1","rho":0.25,"config":{},"submitted":"2023-11-14T22:13:21Z"}}`)
+	if _, err := f.Write(foreign); err != nil {
+		t.Fatal(err)
+	}
 	f.Close()
 
 	s, st := mustOpen(t, dir)
@@ -276,6 +283,10 @@ func TestUnknownRecordTypeSkipped(t *testing.T) {
 	}
 	if st.Seq != 4 || len(st.Jobs) != 2 || st.Datasets[0].SpentRho != 0.5 {
 		t.Fatalf("state around unknown record = %+v", st)
+	}
+	want := netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 11, Workers: 1}
+	if got := st.Jobs[1].Config; st.Jobs[1].JobID != "job-2" || got != want {
+		t.Fatalf("older-version charge replayed as %s %+v, want job-2 %+v", st.Jobs[1].JobID, got, want)
 	}
 	// Appends continue past the foreign record's seq.
 	appendCharge(t, s, "ds-1", "job-3", 0.1)

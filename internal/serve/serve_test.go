@@ -32,7 +32,13 @@ func newTestServer(t *testing.T, opts serve.Options) *serve.Server {
 // flowCSV renders a small emulated TON flow trace as CSV.
 func flowCSV(t *testing.T, rows int) (string, string) {
 	t.Helper()
-	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: rows, Seed: 7})
+	return flowCSVSeed(t, rows, 7)
+}
+
+// flowCSVSeed is flowCSV from a chosen data seed.
+func flowCSVSeed(t *testing.T, rows int, seed uint64) (string, string) {
+	t.Helper()
+	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: rows, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -132,6 +133,13 @@ type Server struct {
 	// sealStop ends the -seal-after idle sweeper (nil when disabled).
 	sealStop chan struct{}
 	sealWG   sync.WaitGroup
+
+	// draining (under putMu) refuses window PUTs once Shutdown begins;
+	// puts counts the PUTs already inside their handler, which land
+	// before Shutdown seals the feeds.
+	putMu    sync.Mutex
+	draining bool
+	puts     sync.WaitGroup
 
 	// tmpSpool backs volatile streaming registrations (no state dir):
 	// created lazily, removed at Shutdown.
@@ -285,7 +293,15 @@ func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 // ListenAndServe serves until Shutdown; it returns nil after a clean
 // shutdown.
 func (s *Server) ListenAndServe() error {
-	err := s.http.ListenAndServe()
+	return serveErr(s.http.ListenAndServe())
+}
+
+// Serve is ListenAndServe on a caller-provided listener.
+func (s *Server) Serve(ln net.Listener) error {
+	return serveErr(s.http.Serve(ln))
+}
+
+func serveErr(err error) error {
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
@@ -301,15 +317,34 @@ func (s *Server) volatileSpoolDir() (string, error) {
 	return s.tmpSpoolDir, s.tmpSpoolErr
 }
 
-// Shutdown stops accepting requests, seals every live feed (so
-// follow jobs drain and finish — a journaled seal: after a restart
-// the epoch stays closed and the next PUT opens a fresh one), drains
-// the job queue so admitted (budget-charged) jobs finish before the
-// process exits, then compacts and closes the durable store so the
-// next boot replays a snapshot instead of a long journal.
+// Shutdown stops accepting requests, lets window PUTs already inside
+// their handler land, seals every live feed (so follow jobs drain and
+// finish — a journaled seal: after a restart the epoch stays closed
+// and the next PUT opens a fresh one), waits for open connections,
+// drains the job queue so admitted (budget-charged) jobs finish
+// before the process exits, then compacts and closes the durable
+// store so the next boot replays a snapshot instead of a long
+// journal.
+//
+// The seal must not wait on open connections: a follower streaming a
+// follow job's result.csv holds its connection until the job ends,
+// and the job ends only once its feed is sealed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false) // fail /readyz first so load balancers drain us
-	httpErr := s.http.Shutdown(ctx)
+	httpDone := make(chan error, 1)
+	go func() { httpDone <- s.http.Shutdown(ctx) }()
+	s.putMu.Lock()
+	s.draining = true
+	s.putMu.Unlock()
+	putsDone := make(chan struct{})
+	go func() {
+		s.puts.Wait()
+		close(putsDone)
+	}()
+	select {
+	case <-putsDone:
+	case <-ctx.Done():
+	}
 	if s.sealStop != nil {
 		close(s.sealStop)
 		s.sealWG.Wait()
@@ -319,6 +354,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			_, _ = d.SealFeed(s.store) // best-effort: the drain below needs follow jobs unblocked
 		}
 	}
+	httpErr := <-httpDone
 	queueErr := s.queue.Shutdown(ctx)
 	if s.store != nil {
 		// Best-effort: an uncompacted journal replays identically,
@@ -715,8 +751,18 @@ type WindowAck struct {
 // in the path's bucket (⌊ts/span⌋), and rows must be time-ordered.
 // The bucket seals on PUT — a re-PUT in the same epoch is 409 — and
 // the window is spooled + journaled durably before any follow job can
-// see it. A PUT against a sealed feed opens the next epoch.
+// see it. A PUT against a sealed feed opens the next epoch. Once
+// Shutdown begins, new PUTs get 503 so the shutdown seal is final.
 func (s *Server) handleWindowPut(w http.ResponseWriter, r *http.Request) {
+	s.putMu.Lock()
+	if s.draining {
+		s.putMu.Unlock()
+		writeErr(w, http.StatusServiceUnavailable, "shutting down: feeds are sealed and no window can land")
+		return
+	}
+	s.puts.Add(1)
+	s.putMu.Unlock()
+	defer s.puts.Done()
 	d, ok := s.dataset(w, r)
 	if !ok {
 		return

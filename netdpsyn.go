@@ -79,13 +79,6 @@ type Config struct {
 	Workers int
 	// UseGUM disables GUMMI's marginal initialization (ablation).
 	UseGUM bool
-	// Cells32 stores GUM's dense cell arena as float32 instead of
-	// float64, cutting its footprint by a third (8 vs 12 bytes per
-	// cell including the epoch stamp). The arena only ever holds
-	// integral counts and quotas far below 2²⁴, where float32 is
-	// exact, so output stays byte-identical to the default — this is
-	// a memory knob, not an accuracy trade. Off by default.
-	Cells32 bool
 	// Metrics optionally wires engine-level observability (worker
 	// occupancy, live stage timings) into every run of this
 	// synthesizer; nil disables it at zero cost. It never affects
@@ -188,7 +181,6 @@ func New(cfg Config) (*Synthesizer, error) {
 	cc.Seed = cfg.Seed
 	cc.Workers = cfg.Workers
 	cc.UseGUMMI = !cfg.UseGUM
-	cc.GUM.Cells32 = cfg.Cells32
 	cc.Metrics = cfg.Metrics
 	p, err := core.NewPipeline(cc)
 	if err != nil {

@@ -169,8 +169,9 @@ func BenchmarkTable3WorkersSweep(b *testing.B) {
 // BenchmarkStageTimings feeds the staged engine's per-stage wall/busy
 // split (Report.Stages, surfaced as Result.Stages on the public API)
 // into the benchmark output as metrics, so CI runs can track per-stage
-// regressions — GUM planning should dominate (the paper's ~90% claim),
-// and a busy/wall ratio near the worker count means a stage actually
+// regressions — GUM planning should dominate (the paper's §3.1 finding;
+// 55–75% of a synthesis on the end-to-end benchmark's inputs), and a
+// busy/wall ratio near the worker count means a stage actually
 // parallelized. Metrics are `<stage>-wall-ms` and `<stage>-busy-ms`,
 // averaged over b.N runs.
 //

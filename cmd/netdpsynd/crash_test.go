@@ -255,7 +255,7 @@ func TestCrashRestartDurability(t *testing.T) {
 	// Job B: heavy enough (~1s of GUM rounds on one core) to still be
 	// running when the SIGKILL lands, even after the JobRunning poll
 	// and budget read below.
-	reqB := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 50000, Seed: 12}
+	reqB := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 120000, Seed: 12}
 	ackB, code := postSynth(t, base, dsInfo.ID, reqB)
 	if code != http.StatusAccepted {
 		t.Fatalf("job B = %d", code)
@@ -731,7 +731,7 @@ func TestCrashRestartEvaluation(t *testing.T) {
 
 	// Job B: heavy enough to occupy the single runner while the raw
 	// evaluation sits admitted-and-charged in the backlog.
-	reqB := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 50000, Seed: 12}
+	reqB := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 120000, Seed: 12}
 	ackB, code := postSynth(t, base, dsInfo.ID, reqB)
 	if code != http.StatusAccepted {
 		t.Fatalf("job B = %d", code)

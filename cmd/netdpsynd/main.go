@@ -91,7 +91,7 @@ func main() {
 		drain       = flag.Duration("drain", 2*time.Minute, "max time to drain in-flight jobs on shutdown")
 		stateDir    = flag.String("state-dir", "", "directory for durable service state (budget ledger, dataset registry, job journal, result spool); empty = in-memory only, spend is forgotten on restart")
 		windowSpan  = flag.Int64("window-span", 0, "default time-window span (timestamp units) for synthesis against streaming datasets whose request omits window_span (0 = require an explicit value)")
-		maxWinRows  = flag.Int("max-window-rows", 0, "max records one streaming time window (or one PUT window) may hold before it is refused (0 = a ~1M-row default)")
+		maxWinRows  = flag.Int("max-window-rows", 0, "max records one streaming time window (or one PUT window) may hold, and max records a synthesis request may ask for, before it is refused (0 = a ~1M-row default)")
 		stream      = flag.Bool("stream", false, "accept streaming registrations (?stream=1) without -state-dir by spooling uploads to a temp dir (not restart-safe)")
 		follow      = flag.Bool("follow", false, "accept live window-feed registrations (?feed=1) without -state-dir (in-memory feed, not restart-safe)")
 		sealAfter   = flag.Duration("seal-after", 0, "auto-seal a live feed after this much inactivity so follow jobs finish (0 = only explicit POST /datasets/{id}/seal)")

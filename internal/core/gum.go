@@ -77,6 +77,20 @@ type target struct {
 	// run, so each plan merges it with the touched set instead of
 	// rescanning the whole (possibly huge) target vector.
 	tcells []int
+
+	// The last classification of the round snapshot against counts:
+	// over cells in ascending cell order, under cells gap-sorted, the
+	// L1 error, and findable, how many under cells hold at least one
+	// row (only those can find a representative). It is a pure
+	// function of the snapshot's m.Attrs columns, so a plan
+	// reclassifies only while stale. run sets stale each round from
+	// the columns it re-copied; NewGUM starts every target stale and
+	// nothing else clears it, so a direct planUpdate always
+	// reclassifies.
+	over, under []cellGap
+	l1          float64
+	findable    int
+	stale       bool
 }
 
 // NewGUM prepares a synthesizer for the given published marginals and
@@ -88,7 +102,7 @@ func NewGUM(ms []*marginal.Marginal, n int, cfg GUMConfig) *GUM {
 		denseLimit = gumDenseCellFloor
 	}
 	for _, m := range ms {
-		t := &target{m: m, counts: append([]float64(nil), m.Counts...)}
+		t := &target{m: m, counts: append([]float64(nil), m.Counts...), stale: true}
 		var sum float64
 		for _, c := range t.counts {
 			if c > 0 {
@@ -129,7 +143,8 @@ func NewGUM(ms []*marginal.Marginal, n int, cfg GUMConfig) *GUM {
 
 // Run applies the update rounds to ds in place and returns the
 // per-round average L1 error (‖S−T‖₁ / n averaged over marginals),
-// which decreases as the synthesis converges.
+// which decreases as the synthesis converges. The targets carry state
+// between rounds, so one GUM runs one dataset at a time.
 func (g *GUM) Run(ds *dataset.Encoded) []float64 {
 	return g.run(ds, newEngine(g.cfg.Workers))
 }
@@ -173,6 +188,15 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 	dirty := make([]bool, len(ds.Cols))
 	allDirty := true // first round: snap starts zeroed
 	for it := 0; it < g.cfg.Iterations; it++ {
+		// A target whose columns are not re-copied this round keeps its
+		// classification: once alpha has decayed the quotas to zero,
+		// most rounds move no record and re-copy nothing.
+		for _, t := range g.targets {
+			t.stale = allDirty
+			for _, a := range t.m.Attrs {
+				t.stale = t.stale || dirty[a]
+			}
+		}
 		for a := range ds.Cols {
 			if allDirty || dirty[a] {
 				copy(snap.Cols[a], ds.Cols[a])
@@ -247,11 +271,18 @@ func (p *gumPlan) reset() {
 // snapshot into plan: the planned moves plus the L1 error before the
 // update. It reads only ds and the (freshly reseeded) scratch RNG, so
 // concurrent plans are safe and reproducible; all working memory
-// comes from the scratch arena and the plan's own buffers, so the
-// steady state allocates ~nothing. The dense and sparse counting
-// paths are byte-identical by contract: every ordered traversal — and
-// in particular every RNG draw — happens in ascending cell order (or
-// the gap-sorted under order), never in map order.
+// comes from the scratch arena, the target's gap slices and the
+// plan's own buffers, so the steady state allocates ~nothing. The
+// dense and sparse counting paths are byte-identical by contract:
+// every ordered traversal — and in particular every RNG draw —
+// happens in ascending cell order (or the gap-sorted under order),
+// never in map order.
+//
+// A plan does only the work whose inputs changed. A target that is
+// not stale reuses its classification (phases 1–2), and a plan whose
+// quotas sum to zero ends after drawing them: its pool, shuffle,
+// representatives and moves would all be empty, and the RNG is
+// reseeded for the next plan, so the draws it skips are never seen.
 func planUpdate(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
 	plan.reset()
 	if t.dense {
@@ -276,6 +307,16 @@ func sortUnderByGap(under []cellGap) {
 	})
 }
 
+// setClassification stores a fresh classification on the target,
+// gap-sorting under whenever a plan could move records between the
+// two sides.
+func (t *target) setClassification(over, under []cellGap, l1 float64, findable int) {
+	if len(over) > 0 && len(under) > 0 {
+		sortUnderByGap(under)
+	}
+	t.over, t.under, t.l1, t.findable = over, under, l1, findable
+}
+
 // shufflePool is Fisher–Yates with the same draw sequence as
 // rng.Shuffle, minus its closure allocation.
 func shufflePool(rng *rand.Rand, pool []int) {
@@ -285,19 +326,13 @@ func shufflePool(rng *rand.Rand, pool []int) {
 	}
 }
 
-// planUpdateDense is planUpdate's arena path. The phase loops live in
-// the kernels package; this function owns the phase order and every
-// RNG draw.
-func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
-	n := ds.NumRows()
-	rng := sc.rng
-	vals := sc.vals
+// classifyDense is phases 1–2 of the arena path: it tallies the
+// snapshot into sc.cellOf and the arena at countE, then classifies
+// every cell into the target.
+func (t *target) classifyDense(ds *dataset.Encoded, sc *gumScratch, countE uint32) {
 	// Phase 1: current cell of every record plus cell counts, fused
-	// into one row sweep (this runs once per marginal per round over
-	// every record — the inner loop of the ≈90%-of-runtime synthesis
-	// stage).
-	countE, quotaE, repE := sc.phases()
-	cells := len(t.counts)
+	// into one row sweep over every record — the inner loop of a
+	// reclassifying plan.
 	sc.denseTally(ds, t.m, countE)
 	// Phase 2: L1 error and over/under split from the touched cells
 	// and the precomputed target-bearing cells. Only cells with
@@ -311,20 +346,41 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 	// way the traversal is ascending-cell, which fixes the FP
 	// accumulation order of l1 and leaves over already cell-sorted —
 	// the order the quota draws consume the RNG in.
-	over, under := sc.over[:0], sc.under[:0]
+	over, under := t.over[:0], t.under[:0]
 	var l1 float64
-	if cells <= gumSweepFactor*(len(sc.touched)+len(t.tcells)) {
-		over, under, l1 = kernels.GapSweep(vals, sc.stamp, countE, t.counts, t.tcells, gumDust, over, under)
+	if len(t.counts) <= gumSweepFactor*(len(sc.touched)+len(t.tcells)) {
+		over, under, l1 = kernels.GapSweep(sc.vals, sc.stamp, countE, t.counts, t.tcells, gumDust, over, under)
 	} else {
 		slices.Sort(sc.touched)
-		over, under, l1 = kernels.GapMerge(sc.touched, vals, t.counts, t.tcells, gumDust, over, under)
+		over, under, l1 = kernels.GapMerge(sc.touched, sc.vals, t.counts, t.tcells, gumDust, over, under)
 	}
-	sc.over, sc.under = over, under
-	plan.l1 = l1
+	// An under cell stamped countE was counted, so its rows exist; the
+	// rest have zero count and no row can ever represent them.
+	findable := 0
+	for _, u := range under {
+		if sc.stamp[u.Cell] == countE {
+			findable++
+		}
+	}
+	t.setClassification(over, under, l1, findable)
+}
+
+// planUpdateDense is planUpdate's arena path. The phase loops live in
+// the kernels package; this function owns the phase order and every
+// RNG draw.
+func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
+	n := ds.NumRows()
+	rng := sc.rng
+	vals, stamp := sc.vals, sc.stamp
+	countE, quotaE, repE := sc.phases()
+	if t.stale {
+		t.classifyDense(ds, sc, countE)
+	}
+	plan.l1 = t.l1
+	over, under := t.over, t.under
 	if len(over) == 0 || len(under) == 0 || alpha <= 0 {
 		return
 	}
-	sortUnderByGap(under)
 
 	// Phase 3: pool of movable records from over-represented cells,
 	// capped at alpha·excess per cell. Quotas use probabilistic
@@ -333,13 +389,20 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 	// marginal set would thrash forever instead of settling. The
 	// summed quotas pre-size the pool and move buffers.
 	poolCap := 0
-	cellOf := sc.cellOf[:n]
-	stamp := sc.stamp
 	for _, o := range over {
 		q := stochasticRound(rng, o.Gap*alpha)
 		vals[o.Cell] = q
 		stamp[o.Cell] = quotaE
 		poolCap += int(q)
+	}
+	if poolCap == 0 {
+		return
+	}
+	cellOf := sc.cellOf[:n]
+	if !t.stale {
+		// The scratch's cellOf belongs to whichever plan last tallied
+		// on this worker.
+		t.m.CellsInto(ds, cellOf)
 	}
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
@@ -351,20 +414,13 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 
 	// Phase 4: a representative record for each under cell enables
 	// the duplicate operation. Only under cells are mapped, and the
-	// row scan stops as soon as every findable cell has one: an under
-	// cell still stamped countE here was counted this plan (its rows
-	// exist); the rest have zero count — no row can ever match them,
-	// so they must not keep the scan alive.
+	// row scan stops as soon as every findable cell has one.
 	rep := sc.rep
-	findable := 0
 	for _, u := range under {
-		if stamp[u.Cell] == countE {
-			findable++
-		}
 		stamp[u.Cell] = repE
 		rep[u.Cell] = -1
 	}
-	kernels.RepScan(cellOf, rep, stamp, repE, findable)
+	kernels.RepScan(cellOf, rep, stamp, repE, t.findable)
 
 	// Phase 5: the moves.
 	nAttrs := ds.NumAttrs()
@@ -403,19 +459,15 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 	plan.moves, plan.rowBuf = moves, rowBuf
 }
 
-// planUpdateSparse is planUpdate's map fallback for marginals whose
-// projected cell space is too large to arena. Same phase order, same
-// RNG draw sequence, byte-identical plans.
-func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
-	n := ds.NumRows()
-	rng := sc.rng
-	// Phase 1.
+// classifySparse is classifyDense for the map fallback: the sorted
+// touched cells merged against the target-bearing cells, counts read
+// back from the map.
+func (t *target) classifySparse(ds *dataset.Encoded, sc *gumScratch) {
 	sc.sparseTally(ds, t.m)
-	// Phase 2: the sorted touched cells merged against the
-	// target-bearing cells, counts read back from the map.
 	slices.Sort(sc.touched)
-	over, under := sc.over[:0], sc.under[:0]
+	over, under := t.over[:0], t.under[:0]
 	var l1 float64
+	findable := 0
 	ki, kn := 0, len(t.tcells)
 	for _, c := range sc.touched {
 		for ki < kn && t.tcells[ki] < c {
@@ -434,6 +486,7 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 			over = append(over, cellGap{Cell: c, Gap: d})
 		} else if d < -gumDust {
 			under = append(under, cellGap{Cell: c, Gap: -d})
+			findable++
 		}
 	}
 	for ; ki < kn; ki++ {
@@ -442,21 +495,39 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 		l1 += gap
 		under = append(under, cellGap{Cell: tc, Gap: gap})
 	}
-	sc.over, sc.under = over, under
-	plan.l1 = l1
+	t.setClassification(over, under, l1, findable)
+}
+
+// planUpdateSparse is planUpdate's map fallback for marginals whose
+// projected cell space is too large to arena. Same phase order, same
+// RNG draw sequence, byte-identical plans.
+func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
+	n := ds.NumRows()
+	rng := sc.rng
+	sc.sparseMaps(n)
+	if t.stale {
+		t.classifySparse(ds, sc)
+	}
+	plan.l1 = t.l1
+	over, under := t.over, t.under
 	if len(over) == 0 || len(under) == 0 || alpha <= 0 {
 		return
 	}
-	sortUnderByGap(under)
 
 	// Phase 3 (see planUpdateDense; quotas live in a map here).
 	poolCap := 0
-	cellOf := sc.cellOf[:n]
 	clear(sc.quota)
 	for _, o := range over {
 		q := stochasticRound(rng, o.Gap*alpha)
 		sc.quota[o.Cell] = q
 		poolCap += int(q)
+	}
+	if poolCap == 0 {
+		return
+	}
+	cellOf := sc.cellOf[:n]
+	if !t.stale {
+		t.m.CellsInto(ds, cellOf)
 	}
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
@@ -472,17 +543,12 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 	sc.pool = pool
 	shufflePool(rng, pool)
 
-	// Phase 4 (see planUpdateDense: only under cells counted this
-	// plan can find a representative, so only they bound the scan).
+	// Phase 4 (see planUpdateDense).
 	clear(sc.srep)
-	needRep := 0
 	for _, u := range under {
-		if _, counted := sc.counts[u.Cell]; counted {
-			needRep++
-		}
 		sc.srep[u.Cell] = -1
 	}
-	for r := 0; r < n && needRep > 0; r++ {
+	for r, needRep := 0, t.findable; r < n && needRep > 0; r++ {
 		if v, ok := sc.srep[cellOf[r]]; ok && v < 0 {
 			sc.srep[cellOf[r]] = r
 			needRep--

@@ -33,10 +33,11 @@ func benchGUMSetup(rows int) (*dataset.Encoded, *GUM) {
 	return ds, g
 }
 
-// BenchmarkGUMPlanUpdate measures one marginal's planning pass — the
-// cell-index tally it opens with is the inner loop of the synthesis
-// stage (≈90% of end-to-end runtime per §3.1), which is what the
-// dense scratch arena targets.
+// BenchmarkGUMPlanUpdate measures one marginal's reclassifying
+// planning pass — the cell-index tally it opens with is the inner
+// loop of the synthesis stage that dominates runtime (§3.1), which is
+// what the dense scratch arena targets. The target stays stale (only
+// GUM.run clears that), so every pass reclassifies.
 func BenchmarkGUMPlanUpdate(b *testing.B) {
 	const rows = 50_000
 	ds, g := benchGUMSetup(rows)
@@ -52,33 +53,58 @@ func BenchmarkGUMPlanUpdate(b *testing.B) {
 }
 
 // BenchmarkGUMSteadyState locks in the zero-alloc contract: once the
-// scratch arena and plan buffers are warm, a planning pass must not
-// allocate. It fails the benchmark if AllocsPerRun sees more than one
-// residual allocation per plan (slack for one-off buffer growth when
-// a round's pool outgrows every previous round's).
+// scratch arena, the target's gap slices and the plan buffers are
+// warm, a planning pass must not allocate. It covers the three kinds
+// of plan a run makes: one that reclassifies a stale target, one that
+// reuses a clean target's classification and draws a pool (so it
+// rebuilds the row cells), and one whose quotas sum to zero. Each
+// fails the benchmark if AllocsPerRun sees more than one residual
+// allocation per plan (slack for one-off buffer growth when a round's
+// pool outgrows every previous round's).
 func BenchmarkGUMSteadyState(b *testing.B) {
 	const rows = 50_000
 	ds, g := benchGUMSetup(rows)
+	t := g.targets[0]
 	sc := newGumScratch(rows, g.denseCells)
 	var plan gumPlan
 	i := 0
-	run := func() {
-		sc.reseed(taskSeed(uint64(i), "gum-update", i))
-		planUpdate(ds, g.targets[0], 0.5, 0.5, sc, &plan)
-		i++
-	}
-	// Warm every buffer to its steady-state capacity.
-	for k := 0; k < 20; k++ {
-		run()
-	}
-	allocs := testing.AllocsPerRun(100, run)
-	b.ReportMetric(allocs, "allocs/plan")
-	if allocs > 1 {
-		b.Fatalf("steady-state planUpdate allocates %.1f allocs/plan, want ~0", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		run()
+	for _, leg := range []struct {
+		name  string
+		stale bool
+		alpha float64 // 1e-12 rounds every quota to zero
+		moves bool
+	}{
+		{"reclassify", true, 0.5, true},
+		{"cached-pool", false, 0.5, true},
+		{"cached-zero-quota", false, 1e-12, false},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			run := func() {
+				t.stale = leg.stale
+				sc.reseed(taskSeed(uint64(i), "gum-update", i))
+				planUpdate(ds, t, leg.alpha, 0.5, sc, &plan)
+				i++
+			}
+			// Classify once, then warm every buffer to its
+			// steady-state capacity.
+			t.stale = true
+			planUpdate(ds, t, 0.5, 0.5, sc, &plan)
+			for k := 0; k < 20; k++ {
+				run()
+			}
+			if got := len(plan.moves) > 0; got != leg.moves {
+				b.Fatalf("plan has %d moves, want moves=%v", len(plan.moves), leg.moves)
+			}
+			allocs := testing.AllocsPerRun(100, run)
+			if allocs > 1 {
+				b.Fatalf("steady-state planUpdate allocates %.1f allocs/plan, want ~0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				run()
+			}
+			b.ReportMetric(allocs, "allocs/plan") // after ResetTimer, which drops reported metrics
+		})
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
@@ -14,6 +17,11 @@ import (
 // synthesized, so every planning pass has real over/under gaps and
 // the pool, shuffle, representative and duplicate phases all run.
 func gumEquivSetup(rows int) (*dataset.Encoded, []*marginal.Marginal) {
+	return gumEquivMarginals(rows, []int{0}, []int{1, 2}, []int{0, 2, 3})
+}
+
+// gumEquivMarginals is gumEquivSetup over a chosen marginal set.
+func gumEquivMarginals(rows int, attrs ...[]int) (*dataset.Encoded, []*marginal.Marginal) {
 	domains := []int{16, 8, 12, 6}
 	names := []string{"a", "b", "c", "d"}
 	mk := func(seed1, seed2 uint64) *dataset.Encoded {
@@ -29,10 +37,9 @@ func gumEquivSetup(rows int) (*dataset.Encoded, []*marginal.Marginal) {
 	}
 	ds := mk(3, 5)
 	tgt := mk(7, 9)
-	ms := []*marginal.Marginal{
-		marginal.Compute(tgt, []int{0}),
-		marginal.Compute(tgt, []int{1, 2}),
-		marginal.Compute(tgt, []int{0, 2, 3}),
+	ms := make([]*marginal.Marginal, len(attrs))
+	for i, a := range attrs {
+		ms[i] = marginal.Compute(tgt, a)
 	}
 	return ds, ms
 }
@@ -102,6 +109,78 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 	gumSweepFactor = 1 << 30
 	dSweep, _ := run(gumDenseForced)
 	sameEncoded(t, "forced-sweep vs dense", dSweep, dDense)
+	gumSweepFactor = 8
+
+	// The quiet-round regime: at the default 200 rounds alpha decays
+	// the move quotas to zero, so most late rounds move no record and
+	// a plan's classification is reused. Here {0} shares no column
+	// with the other two marginals, so with DuplicateProb 0 (every
+	// move a replace, dirtying only its own marginal's columns) some
+	// rounds reclassify one marginal and reuse another's. Every route
+	// and worker count must agree on the fingerprint of output and
+	// per-round errors. On linux/amd64, the one target where
+	// TestCrossProcessDeterminism asserts too, it must also equal the
+	// value pinned before plans reused classifications.
+	ds, ms = gumEquivMarginals(rows, []int{0}, []int{1, 2}, []int{1, 2, 3})
+	quiet := []struct {
+		dupProb float64
+		want    uint64
+	}{
+		{0.5, 0x0aff362eac0568e2},
+		{0, 0xe67f445816dfddb5},
+	}
+	routes := []struct {
+		name   string
+		mode   int
+		factor int
+	}{
+		{"dense", gumDenseForced, 8},
+		{"sparse", gumSparseForced, 8},
+		{"sort-merge", gumDenseForced, 0},
+		{"forced-sweep", gumDenseForced, 1 << 30},
+	}
+	for _, q := range quiet {
+		var first uint64
+		for _, rt := range routes {
+			for _, workers := range []int{1, 3} {
+				gumSweepFactor = rt.factor
+				c := DefaultGUMConfig()
+				c.DuplicateProb, c.Seed, c.Workers, c.denseMode = q.dupProb, 42, workers, rt.mode
+				d := cloneEncoded(ds)
+				errs := NewGUM(ms, rows, c).Run(d)
+				got := gumFingerprint(d, errs)
+				if first == 0 {
+					first = got
+				}
+				if got != first {
+					t.Errorf("quiet dup=%v %s workers=%d: fingerprint %#x, dense workers=1 gave %#x",
+						q.dupProb, rt.name, workers, got, first)
+				}
+			}
+		}
+		if first != q.want && runtime.GOOS == "linux" && runtime.GOARCH == "amd64" {
+			t.Errorf("quiet dup=%v: fingerprint %#x, pinned %#x", q.dupProb, first, q.want)
+		}
+	}
+}
+
+// gumFingerprint hashes a synthesized dataset and its per-round
+// errors: FNV-1a over every code, column-major, then every error's
+// bits.
+func gumFingerprint(ds *dataset.Encoded, errs []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, col := range ds.Cols {
+		for _, v := range col {
+			binary.LittleEndian.PutUint32(b[:4], uint32(v))
+			h.Write(b[:4])
+		}
+	}
+	for _, e := range errs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(e))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // samePlan compares two plans field by field.

@@ -46,11 +46,9 @@ type cellGap = kernels.CellGap
 // worker's scratch served a task cannot perturb the plan (the engine
 // determinism contract, see parallelForWorker).
 type gumScratch struct {
-	cellOf  []int     // current cell of every snapshot row
-	touched []int     // cells with nonzero current count, first-touch order
-	over    []cellGap // cells above target by more than gumDust
-	under   []cellGap // cells below target by more than gumDust
-	pool    []int     // movable rows drawn from over cells
+	cellOf  []int // current cell of every snapshot row
+	touched []int // cells with nonzero current count, first-touch order
+	pool    []int // movable rows drawn from over cells
 
 	// Dense arena, sized to the largest dense-eligible marginal's
 	// cell space. vals holds per-cell counts during the tally and
@@ -65,9 +63,9 @@ type gumScratch struct {
 	epoch uint32
 
 	// Sparse fallback for marginals whose projected cell space is too
-	// large to arena. The maps are cleared per plan; iteration order
-	// never reaches the output (touched cells are extracted and
-	// sorted before any ordered use).
+	// large to arena, allocated by the first sparse plan. The maps are
+	// cleared per use; iteration order never reaches the output
+	// (touched cells are extracted and sorted before any ordered use).
 	counts map[int]float64
 	quota  map[int]float64
 	srep   map[int]int
@@ -143,20 +141,24 @@ func (sc *gumScratch) denseTally(ds *dataset.Encoded, m *marginal.Marginal, coun
 	sc.touched = touched
 }
 
+// sparseMaps allocates the sparse fallback's maps on this scratch's
+// first sparse plan, so a run whose marginals are all dense never
+// builds them.
+func (sc *gumScratch) sparseMaps(rows int) {
+	if sc.counts == nil {
+		sc.counts = make(map[int]float64, rows)
+		sc.quota = make(map[int]float64)
+		sc.srep = make(map[int]int)
+	}
+}
+
 // sparseTally is denseTally's fallback for cell spaces too large to
 // arena: counts live in a map, then the touched set is extracted so
 // the caller can order it deterministically.
 func (sc *gumScratch) sparseTally(ds *dataset.Encoded, m *marginal.Marginal) {
-	n := ds.NumRows()
-	cellOf := sc.cellOf[:n]
+	cellOf := sc.cellOf[:ds.NumRows()]
 	m.CellsInto(ds, cellOf)
-	if sc.counts == nil {
-		sc.counts = make(map[int]float64, n)
-		sc.quota = make(map[int]float64)
-		sc.srep = make(map[int]int)
-	} else {
-		clear(sc.counts)
-	}
+	clear(sc.counts)
 	for _, c := range cellOf {
 		sc.counts[c]++
 	}

@@ -478,6 +478,7 @@ type Queue struct {
 	// may hold before the job fails — the memory bound that makes
 	// traces-bigger-than-RAM workloads safe to serve (a too-coarse
 	// span would otherwise materialize the whole trace in one table).
+	// It also caps a request's records, refused at Submit.
 	maxWindowRows int
 	// metrics is the service instrument hub (never nil — NewQueue
 	// builds a private one when the caller passes none); its
@@ -534,6 +535,10 @@ func validBucketRange(lo, hi *int64) error {
 // distinct timestamp).
 const maxWindows = 4096
 
+// maxIterations caps a request's GUM rounds. The paper runs 200, and
+// alpha's geometric decay leaves no record moving long before this.
+const maxIterations = 1_000_000
+
 // defaultMaxWindowRows bounds a streaming time window's record count
 // when the operator does not choose a cap: ~1M rows keeps one
 // window's working set in the hundreds of MB for the canonical
@@ -555,8 +560,8 @@ type QueueOptions struct {
 	// DefaultSpan (≥ 0) fills in the window span for requests against
 	// streaming datasets that omit it.
 	DefaultSpan int64
-	// MaxWindowRows caps a streaming time window's records (≤ 0 means
-	// the ~1M default).
+	// MaxWindowRows caps a streaming time window's records and a
+	// request's records (≤ 0 means the ~1M default).
 	MaxWindowRows int
 	// MaxResults bounds retained results — in memory and in the
 	// results/ spool (≤ 0 means 256). ResultTTL additionally evicts
@@ -757,6 +762,17 @@ type SubmitRequest struct {
 // only follow jobs; windows ≤ 1 with no span on an in-memory dataset
 // normalizes to a plain whole-trace job.
 func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job, bool, error) {
+	// The engine sizes its per-round error log by the iteration count
+	// and its synthetic table by the record count before the first
+	// round, so an oversized request would die in the runner with an
+	// out-of-memory fatal error (no recover catches it) after its ρ
+	// was charged. Refuse both before anything is charged.
+	if cfg.UpdateIterations > maxIterations {
+		return nil, false, fmt.Errorf("serve: iterations must be at most %d, got %d", maxIterations, cfg.UpdateIterations)
+	}
+	if cfg.SynthRecords > q.maxWindowRows {
+		return nil, false, fmt.Errorf("serve: records must be at most the %d-row window cap, got %d", q.maxWindowRows, cfg.SynthRecords)
+	}
 	windows, span := sr.Windows, sr.Span
 	if windows < 0 {
 		return nil, false, fmt.Errorf("serve: windows must be non-negative, got %d", windows)

@@ -118,7 +118,7 @@ func TestRestartRecovery(t *testing.T) {
 	// it cannot finish before the store is yanked a few statements
 	// below, even when the scheduler runs the job ahead of this
 	// goroutine.
-	reqB := SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 50000, Seed: 12}
+	reqB := SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 120000, Seed: 12}
 	ackB, code := submit(t, ts1, dsID, reqB)
 	if code != http.StatusAccepted {
 		t.Fatalf("job B = %d", code)

@@ -327,6 +327,73 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestRefused pins the admission caps on a request's
+// GUM rounds and synthetic records. Admitted, either would make the
+// runner allocate past memory, a fatal error that takes the whole
+// daemon down after the charge. Both must 400 with nothing charged,
+// and the daemon keeps serving.
+func TestOversizedRequestRefused(t *testing.T) {
+	const maxRows = 1000
+	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 1, MaxWindowRows: maxRows})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	csvBody, label := flowCSV(t, 500)
+	resp, err := client.Post(ts.URL+"/datasets?schema=flow&label="+label, "text/csv", strings.NewReader(csvBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info serve.Info
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	dsURL := ts.URL + "/datasets/" + info.ID
+
+	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 5, Records: maxRows, Seed: 3}
+	for _, tc := range []struct {
+		field      string
+		iterations int
+		records    int
+	}{
+		{"iterations", 1_000_001, maxRows},
+		{"iterations", 1 << 40, maxRows},
+		{"records", 5, maxRows + 1},
+		{"records", 5, 1 << 40},
+	} {
+		bad := req
+		bad.Iterations, bad.Records = tc.iterations, tc.records
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, client, dsURL+"/synthesize", bad, &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("iterations=%d records=%d: %d, want 400", tc.iterations, tc.records, code)
+		}
+		if !strings.Contains(apiErr.Error, tc.field) {
+			t.Fatalf("iterations=%d records=%d: error %q should name %s", tc.iterations, tc.records, apiErr.Error, tc.field)
+		}
+	}
+	var budget serve.Status
+	getJSON(t, client, dsURL+"/budget", &budget)
+	if budget.SpentRho != 0 || budget.Releases != 0 {
+		t.Fatalf("refused requests charged the ledger: %+v", budget)
+	}
+
+	// At the caps' edge the request is admitted and completes.
+	var ack serve.SynthesisResponse
+	if code := postJSON(t, client, dsURL+"/synthesize", req, &ack); code != http.StatusAccepted {
+		t.Fatalf("in-cap synthesize = %d", code)
+	}
+	if done := pollJob(t, client, ts.URL, ack.JobID); done.State != serve.JobDone || done.Records != maxRows {
+		t.Fatalf("in-cap job = %s with %d records (%s), want done with %d", done.State, done.Records, done.Error, maxRows)
+	}
+	getJSON(t, client, dsURL+"/budget", &budget)
+	if math.Abs(budget.SpentRho-ack.Rho) > 1e-12 || budget.Releases != 1 {
+		t.Fatalf("after the in-cap job: %+v, want one release of ρ %v", budget, ack.Rho)
+	}
+}
+
 // TestRegistryCap locks in the dataset cap: past MaxDatasets,
 // registration answers 429 (each dataset pins its table in memory for
 // the daemon's lifetime).

@@ -59,7 +59,8 @@ type Options struct {
 	DefaultWindowSpan int64
 	// MaxWindowRows caps how many records one streaming time window
 	// may hold before the job fails (≤ 0 = a ~1M-row default) — the
-	// memory bound for traces bigger than RAM.
+	// memory bound for traces bigger than RAM. A synthesis request
+	// asking for more records is refused with 400.
 	MaxWindowRows int
 	// AllowVolatileStream accepts streaming registrations (?stream=1)
 	// without a StateDir by spooling the upload to a process-lifetime

@@ -222,9 +222,10 @@ func BenchmarkStageTimings(b *testing.B) {
 }
 
 // BenchmarkWindowedThroughput tracks the streaming/windowed path's
-// cost alongside the per-stage trajectory: a 4-window synthesis over
-// a time-sorted trace through the same incremental engine that
-// SynthesizeStream and the netdpsynd windowed job kind use. Reports
+// cost alongside the per-stage trajectory: a 4-bucket time-span
+// synthesis over a time-sorted trace through the same incremental
+// engine that SynthesizeStream and the netdpsynd windowed job kind
+// use. Reports
 // input rows/sec; with BENCH_STAGE_JSON set, merges a "windowed"
 // pseudo-stage (per-op wall, summed per-window busy) into the same
 // BENCH_stage_timings.json that BenchmarkStageTimings emits, so
@@ -239,13 +240,19 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The emulated timestamps start near 0, so a span just over a
+	// quarter of the last one cuts the trace into buckets 0..3.
 	const windows = 4
+	ts := raw.ColumnByName(netdpsyn.FieldTS)
+	span := ts[len(ts)-1]/windows + 1
 	var busy time.Duration
 	b.ReportAllocs()
 	mem := newMemMeter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := syn.SynthesizeWindows(raw, windows, func(wr netdpsyn.WindowResult) error {
+		n := 0
+		err := syn.SynthesizeTimeWindows(raw, span, func(wr netdpsyn.WindowResult) error {
+			n++
 			for _, st := range wr.Stages {
 				busy += st.Busy
 			}
@@ -253,6 +260,9 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+		if n != windows {
+			b.Fatalf("span %d cut %d windows, want %d", span, n, windows)
 		}
 	}
 	b.StopTimer()

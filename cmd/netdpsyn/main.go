@@ -10,27 +10,21 @@
 // The input must contain the canonical header fields (srcip, dstip,
 // srcport, dstport, proto, ts, ... — see -schema).
 //
-// Scaling modes partition the trace into disjoint time windows, each
+// -span partitions the trace into disjoint fixed time windows, each
 // synthesized under the full (ε, δ) budget and written to the output
 // as it completes:
 //
 //	netdpsyn -in flows.csv -span 3600        # fixed 1h time buckets (ts in seconds)
-//	netdpsyn -in flows.csv -windows 8        # row-count quantile windows
 //	netdpsyn -in huge.csv -stream -span 3600
-//	netdpsyn -in huge.csv -stream -window-rows 100000
 //
-// The modes carry different guarantees. -span cuts fixed time ranges:
-// a record's window is ⌊ts/span⌋, a function of that record alone, so
-// the windows compose in parallel and the whole output is (ε, δ)-DP
-// at record level. -windows and -window-rows cut at row ranks, which
-// are data-dependent: each window is (ε, δ)-DP in isolation, but a
-// record-level guarantee for the whole output composes sequentially
-// across windows.
+// A record's window is ⌊ts/span⌋, a function of that record alone, so
+// the windows compose in parallel and the whole output is (ε, δ)-DP at
+// record level.
 //
 // -stream never materializes the trace: the input is decoded in
-// batches and cut into windows on the fly, so memory stays bounded at
-// any trace length. It requires the input to be sorted by the ts
-// field.
+// batches and cut into -span windows on the fly, so memory stays
+// bounded at any trace length. It requires -span and an input sorted
+// by the ts field.
 package main
 
 import (
@@ -54,19 +48,16 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed (deterministic output)")
 		nOut    = flag.Int("records", 0, "synthetic record count per synthesis (0 = derive from noisy totals)")
 		workers = flag.Int("workers", 0, "synthesis worker pool size (0 = all cores; output is identical for any value)")
-		windows = flag.Int("windows", 0, "split the trace into this many row-count quantile windows, each (ε, δ)-DP in isolation (whole-output guarantee composes sequentially)")
 		span    = flag.Int64("span", 0, "split the trace into fixed time windows of this many ts units; record-level (ε, δ) for the whole output by parallel composition")
-		stream  = flag.Bool("stream", false, "stream the input window-by-window without materializing it (bounded memory; input must be sorted by ts)")
-		winRows = flag.Int("window-rows", 100000, "records per window in -stream mode when -span is not set")
-		maxRows = flag.Int("max-window-rows", 1_000_000, "in -stream -span mode, fail if one time bucket holds more records than this (0 = unbounded) — the bound that keeps -stream's memory bounded when the span is too coarse")
+		stream  = flag.Bool("stream", false, "stream the input window-by-window without materializing it (bounded memory; needs -span and input sorted by ts)")
+		maxRows = flag.Int("max-window-rows", 1_000_000, "in -stream mode, fail if one time bucket holds more records than this (0 = unbounded) — the bound that keeps -stream's memory bounded when the span is too coarse")
 	)
 	flag.Parse()
 	if err := run(options{
 		in: *in, out: *out, schema: *schema, label: *label,
 		eps: *eps, delta: *delta, iters: *iters, seed: *seed,
 		records: *nOut, workers: *workers,
-		windows: *windows, span: *span, stream: *stream,
-		windowRows: *winRows, maxWindowRows: *maxRows,
+		span: *span, stream: *stream, maxWindowRows: *maxRows,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "netdpsyn:", err)
 		os.Exit(1)
@@ -79,10 +70,8 @@ type options struct {
 	iters                  int
 	seed                   uint64
 	records, workers       int
-	windows                int
 	span                   int64
 	stream                 bool
-	windowRows             int
 	maxWindowRows          int
 }
 
@@ -93,14 +82,8 @@ func run(o options) error {
 	if o.span < 0 {
 		return fmt.Errorf("-span must be non-negative, got %d", o.span)
 	}
-	if o.windows > 0 && o.span > 0 {
-		return fmt.Errorf("set at most one of -windows and -span")
-	}
-	if o.stream && o.windows > 0 {
-		return fmt.Errorf("-stream cuts windows by -span or -window-rows (the stream length is unknown up front); drop -windows")
-	}
-	if o.stream && o.span == 0 && o.windowRows <= 0 {
-		return fmt.Errorf("-window-rows must be positive in -stream mode, got %d", o.windowRows)
+	if o.stream && o.span == 0 {
+		return fmt.Errorf("-stream cuts the input into fixed time windows: set -span")
 	}
 	if o.maxWindowRows < 0 {
 		return fmt.Errorf("-max-window-rows must be non-negative, got %d", o.maxWindowRows)
@@ -165,18 +148,6 @@ func run(o options) error {
 		return nil
 	}
 
-	if o.windows > 1 {
-		total, windows, err := emitWindowed(w, func(emit func(netdpsyn.WindowResult) error) error {
-			return syn.SynthesizeWindows(table, o.windows, emit)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "synthesized %d records across %d quantile windows under (ε=%g, δ=%g)-DP per window (boundaries are data-dependent: the whole-output guarantee composes sequentially; use -span for parallel composition)\n",
-			total, windows, o.eps, o.delta)
-		return nil
-	}
-
 	res, err := syn.Synthesize(table)
 	if err != nil {
 		return err
@@ -193,25 +164,17 @@ func run(o options) error {
 // CSV stream as it decodes and written out as they are synthesized,
 // so neither the input nor the output trace ever exists in memory.
 func runStream(syn *netdpsyn.Synthesizer, r io.Reader, schema *netdpsyn.Schema, w io.Writer, o options) error {
-	opts := netdpsyn.StreamOptions{WindowRows: o.windowRows}
-	if o.span > 0 {
-		// The row cap is what keeps -stream's memory bounded when the
-		// span is too coarse for the trace's density.
-		opts = netdpsyn.StreamOptions{WindowSpan: o.span, MaxWindowRows: o.maxWindowRows}
-	}
+	// The row cap is what keeps -stream's memory bounded when the span
+	// is too coarse for the trace's density.
+	opts := netdpsyn.StreamOptions{WindowSpan: o.span, MaxWindowRows: o.maxWindowRows}
 	total, windows, err := emitWindowed(w, func(emit func(netdpsyn.WindowResult) error) error {
 		return syn.SynthesizeStream(r, schema, opts, emit)
 	})
 	if err != nil {
 		return err
 	}
-	if o.span > 0 {
-		fmt.Fprintf(os.Stderr, "streamed %d records across %d fixed time windows: record-level (ε=%g, δ=%g)-DP overall (parallel composition)\n",
-			total, windows, o.eps, o.delta)
-	} else {
-		fmt.Fprintf(os.Stderr, "streamed %d records across %d windows under (ε=%g, δ=%g)-DP per window (row-cut boundaries are data-dependent: the whole-output guarantee composes sequentially; use -span for parallel composition)\n",
-			total, windows, o.eps, o.delta)
-	}
+	fmt.Fprintf(os.Stderr, "streamed %d records across %d fixed time windows: record-level (ε=%g, δ=%g)-DP overall (parallel composition)\n",
+		total, windows, o.eps, o.delta)
 	return nil
 }
 

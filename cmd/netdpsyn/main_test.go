@@ -10,11 +10,19 @@ import (
 	"github.com/netdpsyn/netdpsyn/internal/trace"
 )
 
-func writeTrace(t *testing.T, dir string, sorted bool) string {
+// writeTrace writes a 400-row emulated trace and returns its path and
+// a -span that cuts it into 3 fixed time windows (the emulated
+// timestamps start near 0, so a span just over a third of the last
+// one covers buckets 0..2).
+func writeTrace(t *testing.T, dir string, sorted bool) (string, int64) {
 	t.Helper()
 	tab, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var last int64
+	for _, v := range tab.ColumnByName(trace.FieldTS) {
+		last = max(last, v)
 	}
 	if sorted {
 		tab = tab.SortBy(tab.Schema().Index(trace.FieldTS))
@@ -28,14 +36,13 @@ func writeTrace(t *testing.T, dir string, sorted bool) string {
 	if err := tab.WriteCSV(f); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, last/3 + 1
 }
 
 func baseOptions(in, out string) options {
 	return options{
 		in: in, out: out, schema: "flow", label: "label",
 		eps: 2.0, delta: 1e-5, iters: 5, seed: 1, workers: 2,
-		windowRows: 100000,
 	}
 }
 
@@ -50,7 +57,7 @@ func readLines(t *testing.T, path string) []string {
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	in := writeTrace(t, dir, false)
+	in, _ := writeTrace(t, dir, false)
 	out := filepath.Join(dir, "out.csv")
 	if err := run(baseOptions(in, out)); err != nil {
 		t.Fatal(err)
@@ -66,10 +73,10 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunWindowed(t *testing.T) {
 	dir := t.TempDir()
-	in := writeTrace(t, dir, false)
+	in, span := writeTrace(t, dir, false)
 	out := filepath.Join(dir, "windowed.csv")
 	o := baseOptions(in, out)
-	o.windows = 3
+	o.span = span
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +96,11 @@ func TestRunWindowed(t *testing.T) {
 
 func TestRunStream(t *testing.T) {
 	dir := t.TempDir()
-	in := writeTrace(t, dir, true) // streaming needs time-ordered input
+	in, span := writeTrace(t, dir, true) // streaming needs time-ordered input
 	out := filepath.Join(dir, "streamed.csv")
 	o := baseOptions(in, out)
 	o.stream = true
-	o.windowRows = 150 // 400 rows → 3 windows
+	o.span = span
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +132,12 @@ func TestRunValidation(t *testing.T) {
 	}
 	o = baseOptions("in.csv", "")
 	o.stream = true
-	o.windows = 2
-	if err := run(o); err == nil {
-		t.Error("-stream with -windows must error")
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-span") {
+		t.Errorf("-stream without -span: err = %v, want a -span error", err)
 	}
 	o = baseOptions("in.csv", "")
-	o.stream = true
-	o.windowRows = 0
+	o.span = -1
 	if err := run(o); err == nil {
-		t.Error("-stream with zero -window-rows must error")
+		t.Error("negative -span must error")
 	}
 }

@@ -35,9 +35,8 @@
 // -max-window-rows bounds one window's records so a too-coarse span
 // fails instead of swallowing RAM; -stream accepts streaming
 // registrations without a -state-dir by spooling to a temp dir.
-// In-memory datasets also accept {"windows": N} count-quantile
-// windows, charged N × ρ (their boundaries are data-dependent, so the
-// windows compose sequentially, not in parallel).
+// In-memory datasets accept {"window_span": S} too; without it a
+// request is one whole-trace release.
 //
 // Continuous ingest: register a live window feed with ?feed=1&span=S
 // (no body), PUT whole windows to /datasets/{id}/windows/{bucket} as

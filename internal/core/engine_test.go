@@ -108,15 +108,26 @@ func TestWindowedWorkersDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	span := spanFor(t, raw, 3)
 	var tables []*dataset.Table
 	for _, workers := range []int{1, 4} {
 		cfg := fastPipelineConfig()
 		cfg.Workers = workers
-		res, err := SynthesizeWindowed(raw, cfg, 3)
+		src, err := NewTableTimeWindows(raw, span)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables = append(tables, res.Table)
+		var out *dataset.Table
+		if err := SynthesizeStream(src, cfg, func(wr WindowResult) error {
+			if out == nil {
+				out = wr.Table
+				return nil
+			}
+			return out.AppendRowRange(wr.Table, 0, wr.Table.NumRows())
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, out)
 	}
 	tablesIdentical(t, tables[0], tables[1])
 }

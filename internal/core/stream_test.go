@@ -47,53 +47,25 @@ func batchesOf(t *testing.T, tab *dataset.Table, n int) *sliceBatches {
 	return &sliceBatches{batches: out}
 }
 
-// TestStreamEquivalenceWithWindowed is the streaming contract: fixed
-// seed + fixed window count ⇒ streaming the trace window-by-window is
-// byte-identical to batch windowed synthesis on the pre-loaded table.
-func TestStreamEquivalenceWithWindowed(t *testing.T) {
-	raw, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 1700, Seed: 131})
-	if err != nil {
-		t.Fatal(err)
+// spanFor returns a time span cutting tab into exactly n non-empty
+// buckets. Emulated timestamps start near 0, so a span just over
+// last/n covers buckets 0..n-1; the test fails if one of them is empty.
+func spanFor(t *testing.T, tab *dataset.Table, n int) int64 {
+	t.Helper()
+	ts := tab.Column(tab.Schema().Index(trace.FieldTS))
+	var last int64
+	for _, v := range ts {
+		last = max(last, v)
 	}
-	// The streaming side requires a time-ordered trace; sorting first
-	// also makes the batch side's stable sort the identity, so both
-	// paths see identical partitions.
-	sorted := raw.SortBy(raw.Schema().Index(trace.FieldTS))
-	cfg := fastPipelineConfig()
-	const windows = 4
-
-	batch, err := SynthesizeWindowed(sorted, cfg, windows)
-	if err != nil {
-		t.Fatal(err)
+	span := last/int64(n) + 1
+	buckets := map[int64]bool{}
+	for _, v := range ts {
+		buckets[dataset.TimeBucket(v, span)] = true
 	}
-
-	src, err := dataset.NewStreamWindows(batchesOf(t, sorted, 450), sorted.Schema(),
-		dataset.WindowSplit{Field: trace.FieldTS, Windows: windows, TotalRows: sorted.NumRows()})
-	if err != nil {
-		t.Fatal(err)
+	if len(buckets) != n {
+		t.Fatalf("span %d cuts %d buckets, want %d", span, len(buckets), n)
 	}
-	var streamed *dataset.Table
-	var reports []Report
-	err = SynthesizeStream(src, cfg, func(wr WindowResult) error {
-		reports = append(reports, wr.Report)
-		if streamed == nil {
-			streamed = wr.Table
-			return nil
-		}
-		return streamed.AppendRowRange(wr.Table, 0, wr.Table.NumRows())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(batch.WindowReports) {
-		t.Fatalf("windows: %d streamed vs %d batch", len(reports), len(batch.WindowReports))
-	}
-	tablesIdentical(t, batch.Table, streamed)
-	for i := range reports {
-		if reports[i].SynthRecords != batch.WindowReports[i].SynthRecords {
-			t.Errorf("window %d records: %d vs %d", i, reports[i].SynthRecords, batch.WindowReports[i].SynthRecords)
-		}
-	}
+	return span
 }
 
 // TestTimeWindowEquivalence: fixed time-span windows over a
@@ -308,7 +280,7 @@ func TestSynthesizeStreamEmitsInOrder(t *testing.T) {
 	}
 	sorted := raw.SortBy(raw.Schema().Index(trace.FieldTS))
 	src, err := dataset.NewStreamWindows(batchesOf(t, sorted, 256), sorted.Schema(),
-		dataset.WindowSplit{Field: trace.FieldTS, MaxRows: 200})
+		dataset.WindowSplit{Field: trace.FieldTS, Span: spanFor(t, sorted, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +297,31 @@ func TestSynthesizeStreamEmitsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want != 6 { // 1200 rows / 200 per window
+	if want != 6 {
 		t.Fatalf("emitted %d windows", want)
 	}
 }
 
-// TestSynthesizeStreamEmptyWindows covers rows < windows: the empty
-// windows consume indices but must neither stall the in-order emitter
-// nor occupy concurrency slots. (A regression here deadlocks, so the
+// sliceWindows is a WindowSource over pre-built windows.
+type sliceWindows struct {
+	wins []dataset.Window
+	next int
+}
+
+func (s *sliceWindows) Next() (dataset.Window, error) {
+	if s.next >= len(s.wins) {
+		return dataset.Window{}, io.EOF
+	}
+	w := s.wins[s.next]
+	s.next++
+	return w, nil
+}
+
+// TestSynthesizeStreamEmptyWindows covers a source that yields empty
+// windows (WindowSource allows them, though no built-in source does):
+// they consume emission indices but must neither stall the in-order
+// emitter nor occupy concurrency slots, and they leave every other
+// window's output untouched. (A regression here deadlocks, so the
 // test doubles as a liveness check.)
 func TestSynthesizeStreamEmptyWindows(t *testing.T) {
 	raw, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 5, Seed: 157})
@@ -340,40 +329,47 @@ func TestSynthesizeStreamEmptyWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sorted := raw.SortBy(raw.Schema().Index(trace.FieldTS))
-	const windows = 16 // 5 rows into 16 windows: 11 empty
 	cfg := fastPipelineConfig()
 	cfg.Workers = 2
 
-	batch, err := SynthesizeWindowed(sorted, cfg, windows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.WindowReports) != 5 {
-		t.Fatalf("batch emitted %d windows, want 5 non-empty", len(batch.WindowReports))
-	}
-
-	src, err := dataset.NewStreamWindows(batchesOf(t, sorted, 2), sorted.Schema(),
-		dataset.WindowSplit{Field: trace.FieldTS, Windows: windows, TotalRows: sorted.NumRows()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed *dataset.Table
-	emitted := 0
-	err = SynthesizeStream(src, cfg, func(wr WindowResult) error {
-		emitted++
-		if streamed == nil {
-			streamed = wr.Table
-			return nil
+	// 16 windows, 11 of them empty (alternately nil and zero-row
+	// tables); each of the 5 rows is its own window at 1, 4, 7, 10, 13.
+	var all, full []dataset.Window
+	for w := 0; w < 16; w++ {
+		win := dataset.Window{ID: int64(w)}
+		switch {
+		case w%3 == 1 && w/3 < sorted.NumRows():
+			win.Table = dataset.NewTable(sorted.Schema(), 1)
+			if err := win.Table.AppendRowRange(sorted, w/3, w/3+1); err != nil {
+				t.Fatal(err)
+			}
+			full = append(full, win)
+		case w%2 == 1:
+			win.Table = dataset.NewTable(sorted.Schema(), 0)
 		}
-		return streamed.AppendRowRange(wr.Table, 0, wr.Table.NumRows())
-	})
-	if err != nil {
-		t.Fatal(err)
+		all = append(all, win)
 	}
-	if emitted != 5 {
-		t.Fatalf("streamed emitted %d windows, want 5", emitted)
+	run := func(wins []dataset.Window) []WindowResult {
+		t.Helper()
+		var out []WindowResult
+		if err := SynthesizeStream(&sliceWindows{wins: wins}, cfg, func(wr WindowResult) error {
+			out = append(out, wr)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	tablesIdentical(t, batch.Table, streamed)
+	gapped, dense := run(all), run(full)
+	if len(gapped) != 5 || len(dense) != 5 {
+		t.Fatalf("emitted %d windows with empties, %d without, want 5", len(gapped), len(dense))
+	}
+	for i, wr := range gapped {
+		if wr.Window != 3*i+1 || wr.Bucket != int64(3*i+1) {
+			t.Errorf("emission %d: window %d bucket %d, want %d", i, wr.Window, wr.Bucket, 3*i+1)
+		}
+		tablesIdentical(t, dense[i].Table, wr.Table)
+	}
 }
 
 type failingSource struct {
@@ -412,7 +408,7 @@ func TestSynthesizeStreamEmitError(t *testing.T) {
 	}
 	sorted := raw.SortBy(raw.Schema().Index(trace.FieldTS))
 	src, err := dataset.NewStreamWindows(batchesOf(t, sorted, 300), sorted.Schema(),
-		dataset.WindowSplit{Field: trace.FieldTS, MaxRows: 300})
+		dataset.WindowSplit{Field: trace.FieldTS, Span: spanFor(t, sorted, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +442,9 @@ func TestSynthesizeStreamWindowError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty source must be a clean EOF, got %v", err)
 	}
-	src, err := dataset.NewStreamWindows(batchesOf(t, raw.SortBy(raw.Schema().Index(trace.FieldTS)), 100),
-		raw.Schema(), dataset.WindowSplit{Field: trace.FieldTS, MaxRows: 100})
+	sorted := raw.SortBy(raw.Schema().Index(trace.FieldTS))
+	src, err := dataset.NewStreamWindows(batchesOf(t, sorted, 100),
+		sorted.Schema(), dataset.WindowSplit{Field: trace.FieldTS, Span: spanFor(t, sorted, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

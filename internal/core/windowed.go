@@ -20,8 +20,8 @@ import (
 // pipeline seed from it, so sources for which the parallel-composition
 // argument should hold must make it a data-independent function of
 // the partition (time-span sources use the absolute time bucket).
-// dataset.StreamWindows, NewTableWindows, and NewTableTimeWindows all
-// satisfy this.
+// dataset.StreamWindows, dataset.LiveWindows and NewTableTimeWindows
+// all satisfy this.
 //
 // A source is NOT required to be finite or prompt: Next may block
 // indefinitely awaiting data that has not arrived yet (a live window
@@ -50,22 +50,14 @@ type WindowResult struct {
 	// Window is the source's window index.
 	Window int
 	// Bucket is the source's Window.ID for this partition — the
-	// absolute time bucket for span sources, the emission index for
-	// quantile sources. It identifies the window to budget ledgers
-	// and job traces without re-deriving it from the data.
+	// absolute time bucket for span sources. It identifies the window
+	// to budget ledgers and job traces without re-deriving it from the
+	// data.
 	Bucket int64
 	// Table is the synthesized trace for this window.
 	Table *dataset.Table
 	// Report carries the window's pipeline diagnostics.
 	Report Report
-}
-
-// WindowedResult is the output of a batch windowed synthesis run.
-type WindowedResult struct {
-	// Table concatenates the per-window syntheses in time order.
-	Table *dataset.Table
-	// WindowReports carries each window's pipeline diagnostics.
-	WindowReports []Report
 }
 
 // SynthesizeStream pulls windows from src and synthesizes each one
@@ -88,18 +80,14 @@ type WindowedResult struct {
 // of cfg, each window's pipeline is seeded from (cfg.Seed, Window.ID)
 // alone, and each sees only its own window's records (including its
 // own categorical dictionaries), so a window's output is a
-// deterministic function of its partition and its ID. What the
-// combined release guarantees depends on the source's partitioning
-// rule: with data-independent membership (fixed time-span windows,
-// where both a record's window and that window's ID are functions of
-// the record alone) parallel composition applies and the whole
-// release is (ε, δ)-DP at record level. With rank-cut windows
-// (count quantiles, fixed row counts) membership shifts when a
-// neighboring record is added or removed, parallel composition does
-// not apply, and the record-level guarantee must be priced by
-// sequential composition across windows — see dataset.WindowSplit.
-// Either way the emitted stream is byte-identical for any worker
-// count, and identical to the batch path over the same partitions.
+// deterministic function of its partition and its ID. With
+// data-independent membership — fixed time-span windows, where both a
+// record's window and that window's ID are functions of the record
+// alone — parallel composition applies and the whole release is
+// (ε, δ)-DP at record level. A custom source whose membership or IDs
+// depend on other records forfeits that argument. Either way the
+// emitted stream is byte-identical for any worker count, and
+// identical to the batch path over the same partitions.
 //
 // An error from the source, a window pipeline, or emit stops the
 // stream after the in-flight windows drain; the lowest-index window
@@ -139,10 +127,10 @@ func SynthesizeStreamCtx(ctx context.Context, src WindowSource, cfg Config, emit
 		})
 	}
 
-	// When the source knows its window count up front (batch tables,
-	// count-quantile streams), small runs split the worker budget the
-	// way the old batch path did instead of pinning each window to one
-	// worker — 2 windows on an 8-worker budget get 4 workers each.
+	// When the source knows its window count up front (a pre-loaded
+	// table's time buckets), small runs split the worker budget instead
+	// of pinning each window to one worker — 2 windows on an 8-worker
+	// budget get 4 workers each.
 	// Unknown-length streams keep conc = workers with 1 worker per
 	// window, the long-stream optimum. Worker counts never affect
 	// output, only scheduling.
@@ -172,10 +160,10 @@ func SynthesizeStreamCtx(ctx context.Context, src WindowSource, cfg Config, emit
 			}
 			part := win.Table
 			if part == nil || part.NumRows() == 0 {
-				// Empty window (rows < windows): it keeps its index —
-				// the collector must see a marker for it, or the
-				// in-order emitter would wait forever on a window that
-				// never comes. No sem slot: nothing runs.
+				// Empty window (a custom source may yield one): it keeps
+				// its index — the collector must see a marker for it, or
+				// the in-order emitter would wait forever on a window
+				// that never comes. No sem slot: nothing runs.
 				select {
 				case <-stop:
 					return
@@ -264,113 +252,6 @@ func SynthesizeStreamCtx(ctx context.Context, src WindowSource, cfg Config, emit
 		return failErr
 	}
 	return srcErr
-}
-
-// SynthesizeWindowed splits a pre-loaded trace into `windows` disjoint
-// time-contiguous partitions (by timestamp quantiles) and runs the
-// full pipeline on each, concatenating the results in time order. It
-// is the batch entry point over the same engine as SynthesizeStream —
-// NewTableWindows adapts the table to a WindowSource — so the two
-// paths produce byte-identical output over identical partitions.
-//
-// Privacy and scalability: the quantile boundaries are data-dependent
-// (row ranks), so each window's release is (ε, δ)-DP in isolation but
-// the combined release does NOT inherit that guarantee by parallel
-// composition — price it by sequential composition across windows, or
-// use time-span windows (NewTableTimeWindows) for a record-level
-// guarantee at one window's cost. See SynthesizeStream. Windowing
-// additionally bounds each GUM instance (the ≈90%-of-runtime stage,
-// §3.1) to one window's records and sharpens temporal locality,
-// implementing the "scale up the synthesis process" direction beyond
-// GUMMI itself.
-func SynthesizeWindowed(t *dataset.Table, cfg Config, windows int) (*WindowedResult, error) {
-	if windows <= 1 {
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Synthesize(t)
-		if err != nil {
-			return nil, err
-		}
-		return &WindowedResult{Table: res.Table, WindowReports: []Report{res.Report}}, nil
-	}
-	src, err := NewTableWindows(t, windows)
-	if err != nil {
-		return nil, err
-	}
-	out := &WindowedResult{}
-	err = SynthesizeStream(src, cfg, func(wr WindowResult) error {
-		out.WindowReports = append(out.WindowReports, wr.Report)
-		if out.Table == nil {
-			out.Table = wr.Table
-			return nil
-		}
-		return out.Table.AppendRowRange(wr.Table, 0, wr.Table.NumRows())
-	})
-	if err != nil {
-		return nil, err
-	}
-	if out.Table == nil {
-		return nil, fmt.Errorf("core: no non-empty windows")
-	}
-	return out, nil
-}
-
-// tableWindows adapts a pre-loaded table to a WindowSource: rows are
-// stably sorted by timestamp and cut at count quantiles, the same
-// boundaries dataset.StreamWindows uses in Windows mode, so a
-// time-sorted stream of the same rows yields identical partitions.
-type tableWindows struct {
-	t       *dataset.Table
-	order   []int // row indices in time order
-	windows int
-	next    int
-}
-
-// NewTableWindows builds the quantile window source over a loaded
-// trace. Each emitted window is a self-contained table — fresh
-// categorical dictionaries interned from its own rows — so a window's
-// synthesis depends only on its own partition and matches the
-// streaming path byte for byte. Note the quantile *boundaries* are
-// row ranks and therefore data-dependent; see SynthesizeWindowed for
-// what that means for composition.
-func NewTableWindows(t *dataset.Table, windows int) (WindowSource, error) {
-	if windows < 1 {
-		return nil, fmt.Errorf("core: windows must be positive, got %d", windows)
-	}
-	tsCol := t.Schema().Index(trace.FieldTS)
-	if tsCol < 0 {
-		return nil, fmt.Errorf("core: windowed synthesis needs a %q field", trace.FieldTS)
-	}
-	n := t.NumRows()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	ts := t.Column(tsCol)
-	sort.SliceStable(order, func(a, b int) bool { return ts[order[a]] < ts[order[b]] })
-	return &tableWindows{t: t, order: order, windows: windows}, nil
-}
-
-// Windows reports the fixed window count, letting SynthesizeStream
-// size its per-window worker split for small runs.
-func (s *tableWindows) Windows() int { return s.windows }
-
-// Next returns the next quantile window, or io.EOF past the last.
-func (s *tableWindows) Next() (dataset.Window, error) {
-	if s.next >= s.windows {
-		return dataset.Window{}, io.EOF
-	}
-	w := s.next
-	s.next++
-	n := len(s.order)
-	lo, hi := w*n/s.windows, (w+1)*n/s.windows
-	part := dataset.NewTable(s.t.Schema(), hi-lo)
-	if err := part.AppendRows(s.t, s.order[lo:hi]); err != nil {
-		return dataset.Window{}, err
-	}
-	return dataset.Window{ID: int64(w), Table: part}, nil
 }
 
 // tableTimeWindows adapts a pre-loaded table to a span WindowSource:

@@ -12,39 +12,34 @@ func TestSynthesizeWindowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastPipelineConfig()
-	res, err := SynthesizeWindowed(raw, cfg, 3)
+	src, err := NewTableTimeWindows(raw, spanFor(t, raw, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.WindowReports) != 3 {
-		t.Fatalf("windows = %d", len(res.WindowReports))
+	var reports []Report
+	rows := 0
+	err = SynthesizeStream(src, fastPipelineConfig(), func(wr WindowResult) error {
+		reports = append(reports, wr.Report)
+		rows += wr.Table.NumRows()
+		if wr.Table.Schema().NumFields() != raw.Schema().NumFields() {
+			t.Errorf("window %d: schema width changed", wr.Window)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Table.NumRows() < raw.NumRows()/2 {
-		t.Errorf("windowed output too small: %d of %d", res.Table.NumRows(), raw.NumRows())
+	if len(reports) != 3 {
+		t.Fatalf("windows = %d", len(reports))
 	}
-	if res.Table.Schema().NumFields() != raw.Schema().NumFields() {
-		t.Errorf("schema width changed")
+	if rows < raw.NumRows()/2 {
+		t.Errorf("windowed output too small: %d of %d", rows, raw.NumRows())
 	}
 	// Every window used the full budget (parallel composition).
-	for i, rep := range res.WindowReports {
-		if rep.Rho != res.WindowReports[0].Rho {
+	for i, rep := range reports {
+		if rep.Rho != reports[0].Rho {
 			t.Errorf("window %d used different budget", i)
 		}
-	}
-}
-
-func TestSynthesizeWindowedSingleFallsBack(t *testing.T) {
-	raw, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 600, Seed: 113})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SynthesizeWindowed(raw, fastPipelineConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.WindowReports) != 1 {
-		t.Fatalf("reports = %d", len(res.WindowReports))
 	}
 }
 
@@ -58,7 +53,7 @@ func TestSynthesizeWindowedNoTimestamp(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		tab.AppendRow([]int64{i, tab.CatCode(1, "a")})
 	}
-	if _, err := SynthesizeWindowed(tab, fastPipelineConfig(), 2); err == nil {
+	if _, err := NewTableTimeWindows(tab, 2); err == nil {
 		t.Fatal("missing ts must error")
 	}
 }

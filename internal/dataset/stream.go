@@ -23,25 +23,13 @@ import (
 // and a dictionary shared across the trace would leak cross-window
 // value ordering into every window's binning.
 //
-// The three partitioning rules differ in the guarantee they support,
-// and the distinction is load-bearing for any ledger built on top:
-//
-//   - Span windows (fixed timestamp ranges): a record with timestamp
-//     ts belongs to bucket ⌊ts/Span⌋ — a function of that record
-//     alone. Membership is data-independent, which is exactly the
-//     hypothesis of the parallel composition theorem, so releasing
-//     every window under (ε, δ) yields a record-level (ε, δ) guarantee
-//     for the combined release. (Residual disclosure: the set of
-//     non-empty buckets is visible, since empty buckets release
-//     nothing.)
-//   - Count-quantile and MaxRows windows: boundaries sit at row
-//     *ranks* (w·n/k, or multiples of MaxRows), so adding or removing
-//     one record shifts every later record across window boundaries —
-//     membership depends on the rest of the data and parallel
-//     composition does NOT apply. Each window's release is still
-//     (ε, δ)-DP in isolation, but a record-level guarantee for the
-//     whole release must be priced by sequential composition across
-//     the windows.
+// Windows are fixed time spans: a record with timestamp ts belongs to
+// bucket ⌊ts/Span⌋ — a function of that record alone. Membership is
+// data-independent, which is exactly the hypothesis of the parallel
+// composition theorem, so releasing every window under (ε, δ) yields a
+// record-level (ε, δ) guarantee for the combined release. (Residual
+// disclosure: the set of non-empty buckets is visible, since empty
+// buckets release nothing.)
 
 // defaultBatchRows is the CSVStream batch size when the caller passes
 // 0: large enough to amortize per-batch overhead, small enough that a
@@ -179,10 +167,8 @@ func StreamCSV(r io.Reader, schema *Schema, batchRows int, fn func(batch *Table)
 // Window is one emitted partition of a trace. ID is the window's seed
 // identity: consumers derive the per-window pipeline seed from it, so
 // it must be a data-independent function of the partition. Span
-// windows use the absolute time bucket ⌊ts/Span⌋ (a function of each
-// record alone); count and MaxRows windows use the sequential window
-// index (their boundaries are data-dependent anyway, see the package
-// comment).
+// windows use the absolute time bucket ⌊ts/Span⌋, a function of each
+// record alone.
 type Window struct {
 	ID    int64
 	Table *Table
@@ -199,42 +185,23 @@ func TimeBucket(ts, span int64) int64 {
 	return b
 }
 
-// WindowSplit configures StreamWindows. Exactly one partitioning rule
-// must be set:
-//
-//   - Span: fixed time-range windows — a row with timestamp ts lands
-//     in bucket ⌊ts/Span⌋. Membership is a function of each record
-//     alone (data-independent), so the per-window releases compose in
-//     parallel; this is the only rule under which a combined release
-//     carries a record-level (ε, δ) guarantee at one window's cost.
-//     Empty buckets are skipped (never emitted).
-//   - Windows + TotalRows: quantile-by-count boundaries — window w
-//     holds stream rows [w·n/k, (w+1)·n/k). These are the boundaries
-//     SynthesizeWindowed uses on a pre-loaded table, so a time-sorted
-//     stream split this way is window-for-window identical to the
-//     batch path. Boundaries are data-dependent: see the package
-//     comment for what that does to the composition argument.
-//   - MaxRows: fixed-size windows of MaxRows rows (last one partial),
-//     for streams whose length is unknown up front. Data-dependent
-//     boundaries, like Windows.
+// WindowSplit configures StreamWindows: a row with timestamp ts lands
+// in fixed time-range window ⌊ts/Span⌋ (see the package comment for
+// the composition argument). Empty buckets are skipped (never
+// emitted).
 type WindowSplit struct {
 	// Field names the timestamp column. The stream must be
 	// non-decreasing in it: the windows are time-contiguous disjoint
 	// partitions.
-	Field     string
-	Windows   int
-	TotalRows int
-	MaxRows   int
-	// Span selects fixed time-range windows of that many timestamp
-	// units.
+	Field string
+	// Span is the window width in timestamp units; it must be positive.
 	Span int64
-	// MaxSpanRows, in Span mode, bounds how many rows one window may
-	// hold before the stream fails (0 = unbounded). It is a resource
-	// guard for bounded-memory consumers — one dense bucket would
-	// otherwise materialize an arbitrarily large table. Note the
-	// failure is itself data-dependent and visible to the caller;
-	// treat a tripped cap as an operator error (pick a smaller span),
-	// not as a release.
+	// MaxSpanRows bounds how many rows one window may hold before the
+	// stream fails (0 = unbounded). It is a resource guard for
+	// bounded-memory consumers — one dense bucket would otherwise
+	// materialize an arbitrarily large table. Note the failure is
+	// itself data-dependent and visible to the caller; treat a tripped
+	// cap as an operator error (pick a smaller span), not as a release.
 	MaxSpanRows int
 }
 
@@ -248,7 +215,6 @@ type StreamWindows struct {
 	carry    *Table // batch rows not yet assigned to a window
 	carryOff int
 	row      int // stream rows consumed so far
-	window   int // next window index to emit
 	lastTS   int64
 	haveTS   bool
 	done     bool
@@ -261,120 +227,25 @@ func NewStreamWindows(src BatchSource, schema *Schema, split WindowSplit) (*Stre
 	if tsIdx < 0 {
 		return nil, fmt.Errorf("dataset: stream windows need a %q field", split.Field)
 	}
-	modes := 0
-	for _, set := range []bool{split.Windows > 0, split.MaxRows > 0, split.Span > 0} {
-		if set {
-			modes++
-		}
-	}
-	if modes != 1 {
-		return nil, fmt.Errorf("dataset: set exactly one of WindowSplit.Windows, WindowSplit.MaxRows, and WindowSplit.Span")
-	}
-	if split.Span < 0 {
-		return nil, fmt.Errorf("dataset: negative Span %d", split.Span)
+	if split.Span <= 0 {
+		return nil, fmt.Errorf("dataset: WindowSplit.Span must be positive, got %d", split.Span)
 	}
 	if split.MaxSpanRows < 0 {
 		return nil, fmt.Errorf("dataset: negative MaxSpanRows %d", split.MaxSpanRows)
 	}
-	if split.MaxSpanRows > 0 && split.Span == 0 {
-		return nil, fmt.Errorf("dataset: MaxSpanRows applies only to Span windows")
-	}
-	byCount := split.Windows > 0
-	if byCount && split.TotalRows < 0 {
-		return nil, fmt.Errorf("dataset: negative TotalRows %d", split.TotalRows)
-	}
-	if byCount && split.TotalRows == 0 {
-		return nil, fmt.Errorf("dataset: WindowSplit.Windows needs TotalRows (use MaxRows when the stream length is unknown)")
-	}
 	return &StreamWindows{src: src, split: split, schema: schema, tsIdx: tsIdx}, nil
 }
 
-// Windows reports the fixed window count in count-quantile mode, or 0
-// when the split is by MaxRows or Span (unknown window count up
-// front). Consumers use it to size worker splits for small runs.
-func (w *StreamWindows) Windows() int {
-	if w.split.Windows > 0 {
-		return w.split.Windows
-	}
-	return 0
-}
-
-// Next returns the next window as a self-contained table (empty
-// windows are possible in Windows mode when TotalRows < Windows; Span
-// mode skips empty buckets entirely), or io.EOF after the last
-// window. In Windows mode the stream must hold exactly TotalRows
-// rows; a shorter or longer stream is an error.
+// Next emits the next fixed time-range window — the maximal run of
+// rows sharing one TimeBucket — as a self-contained table, or io.EOF
+// after the last one. Empty buckets are never emitted. The bucket
+// number is the window's ID, so a window's seed identity depends only
+// on its own records' timestamps, never on how many records other
+// windows hold.
 func (w *StreamWindows) Next() (Window, error) {
 	if w.done {
 		return Window{}, io.EOF
 	}
-	if w.split.Span > 0 {
-		return w.nextSpan()
-	}
-	var hi int // stream row index this window ends before
-	switch {
-	case w.split.Windows > 0:
-		if w.window >= w.split.Windows {
-			// All windows emitted: the stream must be exhausted too.
-			w.done = true
-			if err := w.expectEOF(); err != nil {
-				return Window{}, err
-			}
-			return Window{}, io.EOF
-		}
-		hi = (w.window + 1) * w.split.TotalRows / w.split.Windows
-	default:
-		hi = w.row + w.split.MaxRows
-	}
-	out := NewTable(w.schema, hi-w.row)
-	for w.row < hi {
-		if w.carry == nil || w.carryOff >= w.carry.NumRows() {
-			b, err := w.src.Next()
-			if err == io.EOF {
-				w.done = true
-				if w.split.Windows > 0 {
-					return Window{}, fmt.Errorf("dataset: stream ended at row %d of the declared %d (window %d)",
-						w.row, w.split.TotalRows, w.window)
-				}
-				if out.NumRows() == 0 {
-					return Window{}, io.EOF
-				}
-				id := int64(w.window)
-				w.window++
-				return Window{ID: id, Table: out}, nil
-			}
-			if err != nil {
-				w.done = true
-				return Window{}, err
-			}
-			w.carry, w.carryOff = b, 0
-		}
-		take := w.carry.NumRows() - w.carryOff
-		if left := hi - w.row; take > left {
-			take = left
-		}
-		lo := w.carryOff
-		if err := w.checkOrder(w.carry, lo, lo+take); err != nil {
-			w.done = true
-			return Window{}, err
-		}
-		if err := out.AppendRowRange(w.carry, lo, lo+take); err != nil {
-			w.done = true
-			return Window{}, err
-		}
-		w.carryOff += take
-		w.row += take
-	}
-	id := int64(w.window)
-	w.window++
-	return Window{ID: id, Table: out}, nil
-}
-
-// nextSpan emits the next fixed time-range window: the maximal run of
-// rows sharing one TimeBucket. The bucket number is the window's ID,
-// so a window's seed identity depends only on its own records'
-// timestamps, never on how many records other windows hold.
-func (w *StreamWindows) nextSpan() (Window, error) {
 	var (
 		out    *Table
 		bucket int64
@@ -387,7 +258,6 @@ func (w *StreamWindows) nextSpan() (Window, error) {
 				if out == nil {
 					return Window{}, io.EOF
 				}
-				w.window++
 				return Window{ID: bucket, Table: out}, nil
 			}
 			if err != nil {
@@ -429,7 +299,6 @@ func (w *StreamWindows) nextSpan() (Window, error) {
 			// The next row opens a different bucket: this window is
 			// complete. A timestamp regression is caught by checkOrder
 			// when that row is consumed into its own window.
-			w.window++
 			return Window{ID: bucket, Table: out}, nil
 		}
 	}
@@ -446,24 +315,6 @@ func (w *StreamWindows) checkOrder(b *Table, lo, hi int) error {
 				w.row+(r-lo)+1, ts, w.lastTS)
 		}
 		w.lastTS, w.haveTS = ts, true
-	}
-	return nil
-}
-
-// expectEOF verifies no rows remain past the declared TotalRows.
-func (w *StreamWindows) expectEOF() error {
-	if w.carry != nil && w.carryOff < w.carry.NumRows() {
-		return fmt.Errorf("dataset: stream has more rows than the declared %d", w.split.TotalRows)
-	}
-	b, err := w.src.Next()
-	if err == io.EOF {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if b.NumRows() > 0 {
-		return fmt.Errorf("dataset: stream has more rows than the declared %d", w.split.TotalRows)
 	}
 	return nil
 }

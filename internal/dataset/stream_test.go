@@ -168,112 +168,12 @@ func windowed(t *testing.T, src BatchSource, schema *Schema, split WindowSplit) 
 	}
 }
 
-func windows(t *testing.T, src BatchSource, schema *Schema, split WindowSplit) []*Table {
-	t.Helper()
-	wins := windowed(t, src, schema, split)
-	out := make([]*Table, len(wins))
-	for i, w := range wins {
-		out[i] = w.Table
-	}
-	return out
-}
-
-func TestStreamWindowsQuantile(t *testing.T) {
-	s, err := NewCSVStream(strings.NewReader(streamCSVBody(10)), streamSchema(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := windows(t, s, streamSchema(), WindowSplit{Field: "ts", Windows: 4, TotalRows: 10})
-	// Quantile boundaries of 10 rows into 4: 2, 5, 7, 10 → sizes 2 3 2 3.
-	want := []int{2, 3, 2, 3}
-	if len(wins) != len(want) {
-		t.Fatalf("windows = %d", len(wins))
-	}
-	next := int64(1000)
-	for i, w := range wins {
-		if w.NumRows() != want[i] {
-			t.Errorf("window %d rows = %d, want %d", i, w.NumRows(), want[i])
-		}
-		tsCol := w.ColumnByName("ts")
-		for _, ts := range tsCol {
-			if ts != next {
-				t.Fatalf("window %d: ts %d, want %d", i, ts, next)
-			}
-			next++
-		}
-		// Self-contained dictionaries: codes valid within the window.
-		pc := w.Schema().Index("proto")
-		for r := 0; r < w.NumRows(); r++ {
-			if w.CatValue(pc, w.Value(r, pc)) == "" {
-				t.Fatalf("window %d row %d: dangling categorical code", i, r)
-			}
-		}
-	}
-}
-
-func TestStreamWindowsMaxRows(t *testing.T) {
-	s, err := NewCSVStream(strings.NewReader(streamCSVBody(10)), streamSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := windows(t, s, streamSchema(), WindowSplit{Field: "ts", MaxRows: 4})
-	if len(wins) != 3 || wins[0].NumRows() != 4 || wins[2].NumRows() != 2 {
-		t.Fatalf("windows: %d", len(wins))
-	}
-}
-
-func TestStreamWindowsEmptyWindows(t *testing.T) {
-	s, err := NewCSVStream(strings.NewReader(streamCSVBody(2)), streamSchema(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := windows(t, s, streamSchema(), WindowSplit{Field: "ts", Windows: 4, TotalRows: 2})
-	// 2 rows into 4 windows: boundaries 0,1,1,2 → sizes 0 1 0 1.
-	sizes := make([]int, len(wins))
-	for i, w := range wins {
-		sizes[i] = w.NumRows()
-	}
-	if len(wins) != 4 || sizes[0] != 0 || sizes[1] != 1 || sizes[2] != 0 || sizes[3] != 1 {
-		t.Fatalf("sizes = %v", sizes)
-	}
-}
-
-func TestStreamWindowsRowCountMismatch(t *testing.T) {
-	// Declared longer than the stream.
-	s, _ := NewCSVStream(strings.NewReader(streamCSVBody(4)), streamSchema(), 0)
-	w, err := NewStreamWindows(s, streamSchema(), WindowSplit{Field: "ts", Windows: 2, TotalRows: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last error
-	for last == nil {
-		_, last = w.Next()
-	}
-	if last == io.EOF || !strings.Contains(last.Error(), "ended at row 4") {
-		t.Fatalf("short stream err = %v", last)
-	}
-
-	// Declared shorter than the stream.
-	s, _ = NewCSVStream(strings.NewReader(streamCSVBody(9)), streamSchema(), 0)
-	w, err = NewStreamWindows(s, streamSchema(), WindowSplit{Field: "ts", Windows: 2, TotalRows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last = nil
-	for last == nil {
-		_, last = w.Next()
-	}
-	if last == io.EOF || !strings.Contains(last.Error(), "more rows than the declared 4") {
-		t.Fatalf("long stream err = %v", last)
-	}
-}
-
 func TestStreamWindowsOutOfOrderTimestamp(t *testing.T) {
 	body := "srcip,ts,byt,proto\n" +
 		"10.0.0.1,1005,4,TCP\n" +
 		"10.0.0.2,1001,4,TCP\n"
 	s, _ := NewCSVStream(strings.NewReader(body), streamSchema(), 0)
-	w, err := NewStreamWindows(s, streamSchema(), WindowSplit{Field: "ts", MaxRows: 8})
+	w, err := NewStreamWindows(s, streamSchema(), WindowSplit{Field: "ts", Span: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +186,10 @@ func TestStreamWindowsOutOfOrderTimestamp(t *testing.T) {
 func TestStreamWindowsBadSplit(t *testing.T) {
 	s, _ := NewCSVStream(strings.NewReader(streamCSVBody(2)), streamSchema(), 0)
 	cases := []WindowSplit{
-		{Field: "nope", Windows: 2, TotalRows: 2},
-		{Field: "ts"},                           // no rule
-		{Field: "ts", Windows: 2, MaxRows: 2},   // two rules
-		{Field: "ts", Windows: 2, Span: 4},      // two rules
-		{Field: "ts", MaxRows: 2, Span: 4},      // two rules
-		{Field: "ts", Windows: 2, TotalRows: 0}, // count mode without length
+		{Field: "nope", Span: 4},
+		{Field: "ts"}, // no span
 		{Field: "ts", Span: -1},
 		{Field: "ts", Span: 4, MaxSpanRows: -1},
-		{Field: "ts", MaxRows: 2, MaxSpanRows: 8}, // cap outside Span mode
 	}
 	for i, split := range cases {
 		if _, err := NewStreamWindows(s, streamSchema(), split); err == nil {
@@ -303,11 +198,11 @@ func TestStreamWindowsBadSplit(t *testing.T) {
 	}
 }
 
-// TestStreamWindowsSpan covers the fixed time-range mode: rows land
+// TestStreamWindowsSpan covers fixed time-range windows: rows land
 // in ⌊ts/span⌋ buckets regardless of batch boundaries, every window's
 // ID is its absolute bucket number (the data-independent seed
-// identity the parallel composition argument needs), and empty
-// buckets are skipped.
+// identity the parallel composition argument needs), and every window
+// carries its own categorical dictionaries.
 func TestStreamWindowsSpan(t *testing.T) {
 	// ts runs 1000..1009; span 4 ⇒ buckets 250 (1000–1003), 251
 	// (1004–1007), 252 (1008–1009).
@@ -335,16 +230,28 @@ func TestStreamWindowsSpan(t *testing.T) {
 			}
 			next++
 		}
+		// Self-contained dictionaries: codes valid within the window.
+		pc := w.Table.Schema().Index("proto")
+		for r := 0; r < w.Table.NumRows(); r++ {
+			if w.Table.CatValue(pc, w.Table.Value(r, pc)) == "" {
+				t.Fatalf("window %d row %d: dangling categorical code", i, r)
+			}
+		}
 	}
+}
 
-	// A gap in time leaves its buckets unemitted: the IDs jump.
+// TestStreamWindowsEmptyWindows: a gap in time leaves its buckets
+// unemitted — no zero-row window ever reaches the consumer, and the
+// IDs jump across the gap.
+func TestStreamWindowsEmptyWindows(t *testing.T) {
 	body := "srcip,ts,byt,proto\n" +
 		"10.0.0.1,1000,4,TCP\n" +
 		"10.0.0.2,1001,4,TCP\n" +
 		"10.0.0.3,9000,4,UDP\n"
-	s2, _ := NewCSVStream(strings.NewReader(body), streamSchema(), 0)
-	wins = windowed(t, s2, streamSchema(), WindowSplit{Field: "ts", Span: 4})
-	if len(wins) != 2 || wins[0].ID != 250 || wins[1].ID != 2250 {
+	s, _ := NewCSVStream(strings.NewReader(body), streamSchema(), 0)
+	wins := windowed(t, s, streamSchema(), WindowSplit{Field: "ts", Span: 4})
+	if len(wins) != 2 || wins[0].ID != 250 || wins[1].ID != 2250 ||
+		wins[0].Table.NumRows() != 2 || wins[1].Table.NumRows() != 1 {
 		t.Fatalf("gapped windows = %+v", wins)
 	}
 }

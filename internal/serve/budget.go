@@ -52,9 +52,9 @@ type chargeJournal interface {
 //
 // The ledger has two axes:
 //
-//   - A scalar: plain and count-windowed releases touch every record,
-//     so they compose sequentially with everything and their ρ simply
-//     adds (Charge).
+//   - A scalar: whole-trace releases and evaluations touch every
+//     record, so they compose sequentially with everything and their ρ
+//     simply adds (Charge).
 //   - Per window key (span, bucket): a time-span windowed release
 //     touches only the records of one bucket, and a record's bucket
 //     is ⌊ts/span⌋ — a function of that record alone. Under parallel

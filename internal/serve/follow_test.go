@@ -229,23 +229,7 @@ func TestFollowJobEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syn, err := netdpsyn.New(netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	first := true
-	err = syn.SynthesizeTimeWindows(assembled, span, func(wr netdpsyn.WindowResult) error {
-		if first {
-			first = false
-			return wr.Table.WriteCSV(&want)
-		}
-		return wr.Table.WriteCSVBody(&want)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want.String() {
+	if got != librarySpanCSV(t, assembled, netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 5}, span) {
 		t.Fatal("followed release differs from batch SynthesizeTimeWindows at the same seed")
 	}
 

@@ -39,9 +39,7 @@ type Job struct {
 	Submitted time.Time
 	// Rho is the per-release zCDP price of this job. Cache hits return
 	// the originally-charged job, so a spend is never duplicated. For
-	// a plain job it is the scalar charged at admission; for a
-	// count-windowed job, windows × the per-window ρ (sequential
-	// composition — the quantile boundaries are data-dependent). For
+	// a whole-trace job it is the scalar charged at admission. For
 	// span and follow jobs it is ONE window's ρ: the admission itself
 	// charges nothing, and each window charges Rho to its own
 	// (span, bucket) ledger key as it is released — distinct keys
@@ -49,15 +47,11 @@ type Job struct {
 	// key re-released in a later epoch composes sequentially. See
 	// Submit.
 	Rho float64
-	// Windows > 1 marks a count-windowed job: the trace is cut into
-	// that many row-count quantile windows (window-by-window
-	// synthesis, per-window progress, result streamed as windows
-	// complete).
-	Windows int
 	// Span > 0 marks a time-span windowed job: the trace is cut into
-	// fixed time buckets of Span timestamp units. The window count is
-	// data-dependent and unknown until the job runs. Follow jobs carry
-	// their feed's span here.
+	// fixed time buckets of Span timestamp units (window-by-window
+	// synthesis, per-window progress, result streamed as windows
+	// complete). The window count is data-dependent and unknown until
+	// the job runs. Follow jobs carry their feed's span here.
 	Span int64
 	// Follow marks a live-feed follow job: it synthesizes each window
 	// of Epoch's feed as it lands and finishes when the feed is
@@ -254,12 +248,10 @@ type JobInfo struct {
 	Seed      uint64    `json:"seed"`
 	Rho       float64   `json:"rho"`
 	Submitted time.Time `json:"submitted"`
-	// Windows/WindowSpan/WindowsDone report a windowed job's shape and
-	// per-window progress (absent for plain jobs). Span jobs leave
-	// Windows 0 — their window count is data-dependent and emerges as
-	// the job runs. result.csv streams the finished windows while the
-	// job runs.
-	Windows     int   `json:"windows,omitempty"`
+	// WindowSpan/WindowsDone report a windowed job's span and
+	// per-window progress (absent for whole-trace jobs). The window
+	// count is data-dependent and emerges as the job runs; result.csv
+	// streams the finished windows while the job runs.
 	WindowSpan  int64 `json:"window_span,omitempty"`
 	WindowsDone int   `json:"windows_done,omitempty"`
 	// Follow/Epoch mark a live-feed follow job and the feed epoch it
@@ -330,7 +322,6 @@ func (j *Job) Snapshot() JobInfo {
 		Delta:       j.cfg.Delta,
 		Seed:        j.cfg.Seed,
 		Rho:         j.Rho,
-		Windows:     j.Windows,
 		WindowSpan:  j.Span,
 		WindowsDone: j.windowsDone,
 		Follow:      j.Follow,
@@ -527,12 +518,12 @@ func validBucketRange(lo, hi *int64) error {
 
 // maxWindows caps a job's window count: beyond it the per-window
 // pipelines are noise-dominated and the job metadata (per-window
-// progress, spool chunks) stops being worth tracking. Count jobs are
-// rejected at Submit; span jobs — whose window count is
-// data-dependent and unknown until the job runs — are failed by
-// runWindowed when they cross it (a window_span of 1 against
-// fine-grained timestamps would otherwise spin up one pipeline per
-// distinct timestamp).
+// progress, spool chunks) stops being worth tracking. A span job's
+// window count is data-dependent and unknown until the job runs, so
+// runWindowed fails the job when it crosses the cap (a window_span of
+// 1 against fine-grained timestamps would otherwise spin up one
+// pipeline per distinct timestamp); declared bucket ranges and feed
+// epochs are held to it up front.
 const maxWindows = 4096
 
 // maxIterations caps a request's GUM rounds. The paper runs 200, and
@@ -702,13 +693,10 @@ func evictResultLocked(j *Job) {
 }
 
 // SubmitRequest shapes a synthesis admission beyond the pipeline
-// Config: the windowing kind and, optionally, a declared bucket
-// range.
+// Config: the windowing and, optionally, a declared bucket range.
 type SubmitRequest struct {
-	// Windows/Span select count-quantile or time-span windowing (at
-	// most one); see Submit for their ledger costs.
-	Windows int
-	Span    int64
+	// Span selects time-span windowing; see Submit for its ledger cost.
+	Span int64
 	// Follow requests a live-feed follow job (feed datasets only):
 	// the job synthesizes each window of the current feed epoch as it
 	// lands and finishes when the feed is sealed.
@@ -720,14 +708,24 @@ type SubmitRequest struct {
 	BucketLo, BucketHi *int64
 }
 
+// jobCacheKey identifies a synthesis release in the result cache. It
+// includes the windowing: a span release and a whole-trace release of
+// the same Config are different outputs (each window is synthesized
+// from its own marginals). Follow jobs key on the feed epoch too — the
+// same Config against a later epoch consumes different records and is
+// a new release.
+func jobCacheKey(datasetID string, cfg netdpsyn.Config, span int64, follow bool, epoch int) string {
+	return fmt.Sprintf("%s|%s|span=%d|follow=%t|epoch=%d", datasetID, configKey(cfg, false), span, follow, epoch)
+}
+
 // Submit admits a synthesis request against a dataset: it validates
 // the configuration, returns the already-admitted job on a cache hit
 // (no new budget spend), otherwise charges the dataset ledger and
 // enqueues a fresh job. The bool reports whether the result was
 // served from cache.
 //
-// Three windowed job kinds exist, with different ledger costs because
-// they support different composition arguments:
+// Windowed jobs cut fixed time spans, and their ledger cost follows
+// the parallel composition argument that rule supports:
 //
 //   - span > 0 (time-span windows): the trace is cut into fixed time
 //     buckets — a record with timestamp ts belongs to bucket
@@ -740,27 +738,20 @@ type SubmitRequest struct {
 //     window's ρ to its own (span, bucket) ledger key as it is
 //     released, and the ledger position counts the MAX across a
 //     span's keys — so a whole span release costs one window's ρ,
-//     exactly the old scalar price, while the per-key structure is
-//     what lets a later epoch re-release one bucket and pay only on
-//     that key. Residual disclosure: which buckets are non-empty is
-//     visible — empty buckets release nothing, and the per-key
-//     ledger/journal name the released buckets (see the charge gate).
+//     exactly the scalar price of a whole-trace release, while the
+//     per-key structure is what lets a later epoch re-release one
+//     bucket and pay only on that key. Residual disclosure: which
+//     buckets are non-empty is visible — empty buckets release
+//     nothing, and the per-key ledger/journal name the released
+//     buckets (see the charge gate).
 //   - follow (live feeds): span windows whose trace arrives over
 //     time. Same per-key accounting; the job runs until the feed
 //     epoch is sealed.
-//   - windows > 1 (count-quantile windows): boundaries sit at row
-//     ranks (w·n/k), so adding or removing one record shifts later
-//     records across every subsequent boundary — membership is
-//     data-dependent and parallel composition does NOT apply. Each
-//     window is (ε, δ)-DP in isolation, so the release is priced by
-//     sequential composition: the admission charges windows × ρ on
-//     the scalar axis.
 //
-// Streaming datasets accept only span windows (count quantiles would
-// need the whole trace's length and can degenerate to one full-trace
-// window, defeating the bounded-memory design); feed datasets accept
-// only follow jobs; windows ≤ 1 with no span on an in-memory dataset
-// normalizes to a plain whole-trace job.
+// Without a span, an in-memory dataset runs one whole-trace release
+// charged ρ on the scalar axis. Streaming datasets accept only span
+// windows (their trace is never loaded whole); feed datasets accept
+// only follow jobs.
 func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job, bool, error) {
 	// The engine sizes its per-round error log by the iteration count
 	// and its synthetic table by the record count before the first
@@ -773,18 +764,9 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	if cfg.SynthRecords > q.maxWindowRows {
 		return nil, false, fmt.Errorf("serve: records must be at most the %d-row window cap, got %d", q.maxWindowRows, cfg.SynthRecords)
 	}
-	windows, span := sr.Windows, sr.Span
-	if windows < 0 {
-		return nil, false, fmt.Errorf("serve: windows must be non-negative, got %d", windows)
-	}
-	if windows > maxWindows {
-		return nil, false, fmt.Errorf("serve: windows must be at most %d, got %d", maxWindows, windows)
-	}
+	span := sr.Span
 	if span < 0 {
 		return nil, false, fmt.Errorf("serve: window_span must be non-negative, got %d", span)
-	}
-	if windows > 0 && span > 0 {
-		return nil, false, fmt.Errorf("serve: set at most one of windows and window_span")
 	}
 	if (sr.BucketLo == nil) != (sr.BucketHi == nil) {
 		return nil, false, fmt.Errorf("serve: declare both bucket_lo and bucket_hi, or neither")
@@ -794,8 +776,8 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	epoch := 0
 	switch {
 	case sr.Follow:
-		if windows > 0 || span > 0 {
-			return nil, false, fmt.Errorf("serve: a follow job takes its windowing from the feed; leave windows and window_span unset")
+		if span > 0 {
+			return nil, false, fmt.Errorf("serve: a follow job takes its windowing from the feed; leave window_span unset")
 		}
 		if bucketLo != nil {
 			return nil, false, fmt.Errorf("serve: a follow job inherits the feed's declared bucket range; declare it at registration")
@@ -809,19 +791,12 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	case d.Feed():
 		return nil, false, fmt.Errorf("serve: dataset %s is a live window feed: synthesis follows the feed (set \"follow\": true)", d.ID)
 	case d.Streaming():
-		if windows > 0 {
-			return nil, false, fmt.Errorf("serve: dataset %s is streaming-registered: count-quantile windows are not supported (their boundaries are data-dependent and one window can hold the whole trace); set \"window_span\" instead", d.ID)
-		}
 		if span == 0 {
 			span = q.defaultSpan
 		}
 		if span <= 0 {
 			return nil, false, fmt.Errorf("serve: dataset %s is streaming-registered: synthesis must be windowed by time span (set \"window_span\" in the request, or start the daemon with -window-span)", d.ID)
 		}
-	case span == 0 && windows <= 1:
-		// A single window is the whole trace: identical release to the
-		// plain job, so share its cache entry and its charge.
-		windows = 0
 	}
 	if bucketLo != nil && !sr.Follow && span == 0 {
 		return nil, false, fmt.Errorf("serve: a declared bucket range needs window_span (buckets are spans of it)")
@@ -829,7 +804,7 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	if err := validBucketRange(bucketLo, bucketHi); err != nil {
 		return nil, false, err
 	}
-	if (windows > 0 || span > 0) && !d.Schema().Has(netdpsyn.FieldTS) {
+	if span > 0 && !d.Schema().Has(netdpsyn.FieldTS) {
 		return nil, false, fmt.Errorf("serve: windowed synthesis needs a %q field in the %s schema", netdpsyn.FieldTS, d.Kind)
 	}
 	// Normalize zero values to the pipeline defaults (taken from
@@ -872,28 +847,18 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	if err != nil {
 		return nil, false, err
 	}
-	// The ledger charge follows the composition argument each window
-	// kind supports (see the Submit doc): count-quantile windows
-	// compose sequentially (windows × ρ at admission); span and
-	// follow windows compose in parallel per window key, so their
-	// admission charges 0 and gates on one window's ρ (an admission
-	// that could not afford a single fresh window 403s up front).
-	chargeRho := rho
-	if windows > 1 {
-		chargeRho = rho * float64(windows)
-	}
-	perKey := span > 0 || sr.Follow
-	admitRho := chargeRho
-	if perKey {
+	// The ledger charge follows the composition argument (see the
+	// Submit doc): a whole-trace release charges ρ on the scalar axis;
+	// span and follow windows compose in parallel per window key, so
+	// their admission charges 0 and gates on one window's ρ (an
+	// admission that could not afford a single fresh window 403s up
+	// front).
+	admitRho := rho
+	if span > 0 || sr.Follow {
 		admitRho = 0
 	}
 
-	// The cache key includes the windowing: a 4-window release and a
-	// whole-trace release of the same Config are different outputs
-	// (each window is synthesized from its own marginals). Follow
-	// jobs key on the feed epoch too — the same Config against a
-	// later epoch consumes different records and is a new release.
-	key := fmt.Sprintf("%s|%s|win=%d|span=%d|follow=%t|epoch=%d", d.ID, configKey(cfg, false), windows, span, sr.Follow, epoch)
+	key := jobCacheKey(d.ID, cfg, span, sr.Follow, epoch)
 	// The whole admission — cache probe, charge, registration, and the
 	// (non-blocking) enqueue — happens under one critical section.
 	// That keeps three races out: Submit can never send on a channel
@@ -946,7 +911,6 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 			Rho:       admitRho,
 			Config:    cfg,
 			Submitted: now,
-			Windows:   windows,
 			Span:      span,
 			Follow:    sr.Follow,
 			Epoch:     epoch,
@@ -960,8 +924,7 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 		ID:        id,
 		DatasetID: d.ID,
 		Submitted: now,
-		Rho:       chargeRho,
-		Windows:   windows,
+		Rho:       rho,
 		Span:      span,
 		Follow:    sr.Follow,
 		Epoch:     epoch,
@@ -989,8 +952,7 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	q.log.LogAttrs(context.Background(), slog.LevelInfo, "job admitted",
 		slog.String("job", j.ID),
 		slog.String("dataset", d.ID),
-		slog.Float64("rho", chargeRho),
-		slog.Int("windows", windows),
+		slog.Float64("rho", rho),
 		slog.Int64("span", span),
 		slog.Bool("follow", sr.Follow),
 	)
@@ -1043,9 +1005,9 @@ func (q *Queue) attachSpool(j *Job) {
 	}
 }
 
-// windowed reports whether the job synthesizes window by window
-// (either kind), as opposed to one whole-trace pipeline run.
-func (j *Job) windowed() bool { return j.Windows > 1 || j.Span > 0 }
+// windowed reports whether the job synthesizes window by window (span
+// and follow jobs), as opposed to one whole-trace pipeline run.
+func (j *Job) windowed() bool { return j.Span > 0 }
 
 // Spool returns the job's result spool, if any.
 func (j *Job) Spool() *resultSpool {
@@ -1283,14 +1245,12 @@ func (q *Queue) windowGate(j *Job, d *Dataset) func(bucket int64, rows int) erro
 // runWindowed synthesizes a windowed job window-by-window, recording
 // per-window progress and streaming each completed window's CSV into
 // the result spool (header once, then rows). In-memory datasets go
-// through the time-span source (span jobs) or SynthesizeWindows
-// (count jobs) over the registered table; streaming datasets
-// re-stream their spooled CSV through the bounded-memory span path,
-// so the trace is never materialized even while serving it; follow
-// jobs ride the live feed captured at admission, synthesizing each
-// window as it lands until the feed epoch is sealed. Span and follow
-// windows pass through windowGate — charge-before-compute, per window
-// key.
+// through the time-span source over the registered table; streaming
+// datasets re-stream their spooled CSV through the bounded-memory span
+// path, so the trace is never materialized even while serving it;
+// follow jobs ride the live feed captured at admission, synthesizing
+// each window as it lands until the feed epoch is sealed. Every window
+// passes through windowGate — charge-before-compute, per window key.
 func (q *Queue) runWindowed(j *Job, d *Dataset, syn *netdpsyn.Synthesizer, spool *resultSpool) {
 	records := 0
 	wroteHeader := false
@@ -1327,25 +1287,22 @@ func (q *Queue) runWindowed(j *Job, d *Dataset, syn *netdpsyn.Synthesizer, spool
 		j.windowsDone++
 		emitted := j.windowsDone
 		j.setStages(wr.Stages)
-		tr := WindowTrace{Window: emitted - 1, Records: wr.Records, Spans: spansMS(wr.Spans), Quality: quality}
-		switch {
-		case j.Span > 0:
-			// Per-key windows: the trace reports the actual ledger charge
-			// for this bucket (0 when a resumed/resurrected run inherited
-			// an already-paid key).
-			b := wr.Bucket
-			tr.Bucket = &b
-			tr.RhoCharged = j.chargedRho[b]
-		case j.Windows > 1:
-			tr.RhoCharged = j.Rho / float64(j.Windows)
-		}
-		j.trace = append(j.trace, tr)
+		// The trace reports the actual ledger charge for this bucket (0
+		// when a resumed/resurrected run inherited an already-paid key).
+		b := wr.Bucket
+		j.trace = append(j.trace, WindowTrace{
+			Window:     emitted - 1,
+			Bucket:     &b,
+			RhoCharged: j.chargedRho[b],
+			Records:    wr.Records,
+			Spans:      spansMS(wr.Spans),
+			Quality:    quality,
+		})
 		j.mu.Unlock()
 		q.metrics.recordWindow(j.DatasetID, wr.Bucket, j.Follow)
 		if emitted > maxWindows {
-			// Only reachable on span/follow jobs (count jobs are capped
-			// at Submit): the span is too fine for the trace's time
-			// resolution to be worth one pipeline per bucket.
+			// The span is too fine for the trace's time resolution to
+			// be worth one pipeline per bucket.
 			return fmt.Errorf("serve: window_span %d produced more than %d windows — choose a coarser span", j.Span, maxWindows)
 		}
 		return nil
@@ -1368,13 +1325,11 @@ func (q *Queue) runWindowed(j *Job, d *Dataset, syn *netdpsyn.Synthesizer, spool
 			}, emit)
 			f.Close()
 		}
-	case j.Span > 0:
+	default:
 		var src netdpsyn.WindowSource
 		if src, err = netdpsyn.TimeWindowSource(d.Table(), j.Span); err == nil {
 			err = syn.SynthesizeSource(src, netdpsyn.StreamOptions{BeforeWindow: q.windowGate(j, d)}, emit)
 		}
-	default:
-		err = syn.SynthesizeWindows(d.Table(), j.Windows, emit)
 	}
 	if err != nil {
 		if spool != nil {
@@ -1509,14 +1464,12 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 			DatasetID: js.DatasetID,
 			Submitted: js.Submitted,
 			Rho:       js.Rho,
-			Windows:   js.Windows,
 			Span:      js.Span,
 			Follow:    js.Follow,
 			Epoch:     js.Epoch,
 			cfg:       cfg,
-			cacheKey: fmt.Sprintf("%s|%s|win=%d|span=%d|follow=%t|epoch=%d",
-				js.DatasetID, configKey(cfg, false), js.Windows, js.Span, js.Follow, js.Epoch),
-			done: make(chan struct{}),
+			cacheKey:  jobCacheKey(js.DatasetID, cfg, js.Span, js.Follow, js.Epoch),
+			done:      make(chan struct{}),
 		}
 		if (js.Follow || js.Span > 0) && js.Rho == 0 {
 			// Span and follow admissions journal ρ 0 (their spend is
@@ -1535,6 +1488,14 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 		// admission under the new accounting (the conservative
 		// direction, same as the metadata-sweep rule).
 		legacySpan := js.Span > 0 && !js.Follow && js.Rho > 0
+		// A count-quantile job from an older journal (Windows > 1, its
+		// windows × ρ charged on the scalar axis) has no job kind left to
+		// run as: it replays its spend, its metadata, and any persisted
+		// result file, but stays out of the cache by the same rule —
+		// otherwise a whole-trace request with the same config would be
+		// served the count release, or would resurrect it as a
+		// whole-trace run.
+		legacyCount := js.Windows > 1
 		for _, b := range js.ChargedBuckets {
 			j.markCharged(b, 0)
 		}
@@ -1544,10 +1505,7 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 			close(j.done)
 			j.state = JobDone
 			j.records = js.Records
-			j.windowsDone = js.Windows
-			if len(js.ChargedBuckets) > 0 {
-				j.windowsDone = len(js.ChargedBuckets)
-			}
+			j.windowsDone = len(js.ChargedBuckets)
 			// A persisted result lets the restarted daemon serve
 			// result.csv directly instead of regenerating. The file is
 			// only trusted under a journaled done terminal: the spool is
@@ -1610,7 +1568,7 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 		q.jobs[j.ID] = j
 		q.jobsMu.Unlock()
 		q.order = append(q.order, j)
-		if (j.state == JobDone && !legacySpan) || resumed {
+		if (j.state == JobDone && !legacySpan && !legacyCount) || resumed {
 			// Done: the synthesized table itself is not persisted
 			// (results are large and deterministic); the job replays as
 			// done-but-evicted and regenerates on an identical resubmit

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -69,7 +70,8 @@ func sanitizeRequestID(id string) string {
 // statusRecorder captures the response status and size for the access
 // log and the route metrics. It implements Unwrap so
 // http.NewResponseController reaches the underlying writer's Flush —
-// streamSpool's incremental result delivery depends on it.
+// streamSpool's incremental result delivery depends on it — and
+// io.ReaderFrom so a finished result file still reaches sendfile(2).
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -89,6 +91,20 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	}
 	n, err := sr.ResponseWriter.Write(p)
 	sr.bytes += int64(n)
+	return n, err
+}
+
+// ReadFrom hands a body copy to the wrapped writer's own ReadFrom:
+// http.ServeContent copies through io.CopyN, and net/http's response
+// implements ReadFrom with sendfile(2) for an *os.File source. Without
+// this method the copy falls back to a 32 KB buffered loop through
+// Write.
+func (sr *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
+	if sr.status == 0 {
+		sr.status = http.StatusOK
+	}
+	n, err := io.Copy(sr.ResponseWriter, src)
+	sr.bytes += n
 	return n, err
 }
 

@@ -234,12 +234,14 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestJobTrace asserts GET /jobs/{id} carries the per-job trace: one
-// entry per window in order, each with its ρ charge and ordered
-// stage spans.
+// entry per window in order, each with its bucket, its ρ charge and
+// ordered stage spans.
 func TestJobTrace(t *testing.T) {
 	srv, ts, _ := obsServer(t)
 	ds := obsRegister(t, ts)
-	job := obsSynthesize(t, srv, ts, ds, `{"epsilon":1.0,"seed":7,"records":40,"windows":2}`)
+	csvBody, label := flowCSV(t, 120) // the trace obsRegister registers
+	span := flowSpan(t, csvBody, label, 2)
+	job := obsSynthesize(t, srv, ts, ds, fmt.Sprintf(`{"epsilon":1.0,"seed":7,"records":40,"window_span":%d}`, span))
 
 	resp, err := http.Get(ts.URL + "/jobs/" + job)
 	if err != nil {
@@ -250,6 +252,7 @@ func TestJobTrace(t *testing.T) {
 		Rho   float64 `json:"rho"`
 		Trace []struct {
 			Window     int     `json:"window"`
+			Bucket     *int64  `json:"bucket"`
 			RhoCharged float64 `json:"rho_charged"`
 			Records    int     `json:"records"`
 			Spans      []struct {
@@ -264,15 +267,21 @@ func TestJobTrace(t *testing.T) {
 	if len(info.Trace) != 2 {
 		t.Fatalf("trace entries = %d, want 2 (one per window)", len(info.Trace))
 	}
-	var rhoSum float64
+	buckets := map[int64]bool{}
 	for i, tr := range info.Trace {
 		if tr.Window != i {
 			t.Errorf("trace[%d].window = %d, want in submission order", i, tr.Window)
 		}
-		if tr.RhoCharged <= 0 {
-			t.Errorf("trace[%d].rho_charged = %v, want > 0", i, tr.RhoCharged)
+		// Span windows compose in parallel: each window charges one
+		// window's ρ — the job's ρ — to its own bucket key.
+		if tr.Bucket == nil || buckets[*tr.Bucket] {
+			t.Errorf("trace[%d].bucket = %v, want a distinct bucket per window", i, tr.Bucket)
+		} else {
+			buckets[*tr.Bucket] = true
 		}
-		rhoSum += tr.RhoCharged
+		if diff := tr.RhoCharged - info.Rho; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("trace[%d].rho_charged = %v, want the job ρ %v", i, tr.RhoCharged, info.Rho)
+		}
 		if len(tr.Spans) == 0 {
 			t.Errorf("trace[%d] has no stage spans", i)
 			continue
@@ -286,11 +295,6 @@ func TestJobTrace(t *testing.T) {
 				t.Errorf("trace[%d] missing stage %q (got %v)", i, want, stages)
 			}
 		}
-	}
-	// Count-quantile windows compose sequentially: the per-window
-	// charges must sum to the job's total ρ.
-	if diff := rhoSum - info.Rho; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("Σ trace rho_charged = %v, want the job ρ %v", rhoSum, info.Rho)
 	}
 }
 

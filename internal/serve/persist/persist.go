@@ -151,17 +151,20 @@ type ChargeRecord struct {
 	Rho       float64         `json:"rho"`
 	Config    netdpsyn.Config `json:"config"`
 	Submitted time.Time       `json:"submitted"`
-	// Windows > 1 marks a count-quantile windowed release; Span > 0
-	// marks a time-span windowed release. Rho is the SCALAR charge
-	// applied to the ledger at admission: windows × the per-window ρ
-	// for count windows (data-dependent boundaries ⇒ sequential
-	// composition), the full ρ for plain jobs. Span and follow jobs
-	// admit at Rho 0 — their spend lands per window key as
-	// WindowChargeRecords while the job runs, which is what lets
-	// distinct buckets compose in parallel and the same bucket
-	// re-release sequentially. (Older journals carry span admissions
-	// with Rho = ρ; replaying them as scalar spend is the conservative
-	// reading.)
+	// Span > 0 marks a time-span windowed release. Rho is the SCALAR
+	// charge applied to the ledger at admission: the full ρ for
+	// whole-trace jobs. Span and follow jobs admit at Rho 0 — their
+	// spend lands per window key as WindowChargeRecords while the job
+	// runs, which is what lets distinct buckets compose in parallel
+	// and the same bucket re-release sequentially. (Older journals
+	// carry span admissions with Rho = ρ; replaying them as scalar
+	// spend is the conservative reading.)
+	//
+	// Windows is replay-only: journals from daemons that still ran
+	// count-quantile window jobs mark them with Windows > 1 and their
+	// windows × ρ scalar charge in Rho. Nothing writes it any more;
+	// recovery keeps such jobs' spend and metadata but never caches or
+	// re-runs them.
 	Windows int   `json:"windows,omitempty"`
 	Span    int64 `json:"span,omitempty"`
 	// Follow marks a live-feed follow job and Epoch the feed epoch it
@@ -225,10 +228,11 @@ type record struct {
 
 // DatasetState is a dataset's replayed durable state: its
 // registration record plus the accumulated ledger position. SpentRho
-// is the scalar spend (plain and count-windowed releases); WindowRho
-// is the per-window-key spend, keyed by WindowKey(span, bucket) — the
-// ledger position a restart restores is SpentRho plus, per span, the
-// max across that span's keys.
+// is the scalar spend (whole-trace releases, evaluations, and count
+// windows replayed from older journals); WindowRho is the
+// per-window-key spend, keyed by WindowKey(span, bucket) — the ledger
+// position a restart restores is SpentRho plus, per span, the max
+// across that span's keys.
 type DatasetState struct {
 	DatasetRecord
 	SpentRho  float64            `json:"spent_rho"`

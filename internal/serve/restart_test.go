@@ -25,6 +25,7 @@ import (
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
+	"github.com/netdpsyn/netdpsyn/internal/core"
 	"github.com/netdpsyn/netdpsyn/internal/datagen"
 	"github.com/netdpsyn/netdpsyn/internal/serve/persist"
 )
@@ -606,5 +607,129 @@ func TestBudgetChargeJournalPlumbing(t *testing.T) {
 	}
 	if st := b.Snapshot(); st.SpentRho != 0.5 || st.Releases != 1 {
 		t.Fatalf("ledger after record-less charge: %+v", st)
+	}
+}
+
+// TestRestartReplaysCountWindowJournal: a state dir written while the
+// daemon still ran count-quantile window jobs ("windows": N, charged
+// N × ρ on the scalar axis at admission) replays after that job kind
+// was removed — from the journal, and after Shutdown compacts it, from
+// the snapshot. The spend stays, the jobs stay done, and a whole-trace
+// request with the same config is never served, or resurrected as,
+// the count release.
+func TestRestartReplaysCountWindowJournal(t *testing.T) {
+	dir := t.TempDir()
+	rho, err := netdpsyn.RhoFromEpsDelta(1.0, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts0 := httptest.NewServer(s0.Handler())
+	dsID := registerFlow(t, ts0, 200, fmt.Sprintf("budget_rho=%g&budget_delta=1e-5", 20*rho))
+	ts0.Close()
+	shutdownServer(t, s0)
+
+	// Two done count jobs as such a daemon journaled them, each with
+	// the config Submit normalizes an {epsilon 1, delta 1e-5,
+	// iterations 3, seed} request to, and no result file.
+	seeds := []uint64{5, 6}
+	countJobs := []string{"job-1", "job-2"}
+	store, _, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		cfg := netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: seed,
+			Tau: core.DefaultConfig().Tau, KeyAttr: datagen.LabelField(datagen.TON)}
+		if err := store.AppendCharge(persist.ChargeRecord{JobID: countJobs[i], DatasetID: dsID,
+			Rho: 3 * rho, Config: cfg, Submitted: time.Now(), Windows: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendTerminal(persist.TerminalRecord{JobID: countJobs[i], State: string(JobDone), Records: 200}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spent := 6 * rho
+	for boot, seed := range seeds {
+		s, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		checkSpent := func(when string) {
+			t.Helper()
+			var st Status
+			resp, err := ts.Client().Get(ts.URL + "/datasets/" + dsID + "/budget")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(st.SpentRho-spent) > 1e-12 {
+				t.Fatalf("boot %d, %s: spent ρ = %v, want %v", boot, when, st.SpentRho, spent)
+			}
+		}
+		checkCountJobs := func(when string) {
+			t.Helper()
+			for _, id := range countJobs {
+				var info JobInfo
+				resp, err := ts.Client().Get(ts.URL + "/jobs/" + id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&info)
+				resp.Body.Close()
+				if err != nil || info.State != JobDone {
+					t.Fatalf("boot %d, %s: count job %s = %q (%v), want done", boot, when, id, info.State, err)
+				}
+				resp, err = ts.Client().Get(ts.URL + "/jobs/" + id + "/result.csv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusGone {
+					t.Fatalf("boot %d, %s: count job %s result.csv = %d, want 410", boot, when, id, resp.StatusCode)
+				}
+			}
+		}
+		checkSpent("at boot")
+		checkCountJobs("at boot")
+
+		// A "windows" body is an unknown field: 400 before any charge.
+		resp, err := ts.Client().Post(ts.URL+"/datasets/"+dsID+"/synthesize", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"epsilon":1,"delta":1e-5,"iterations":3,"seed":%d,"windows":3}`, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("boot %d: windows request = %d, want 400", boot, resp.StatusCode)
+		}
+		checkSpent("after the windows request")
+
+		// The same config as a whole-trace request is a fresh admission
+		// at ρ, never the count job.
+		ack, code := submit(t, ts, dsID, SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: seed})
+		if code != http.StatusAccepted || ack.Cached || ack.JobID == countJobs[0] || ack.JobID == countJobs[1] || math.Abs(ack.Rho-rho) > 1e-12 {
+			t.Fatalf("boot %d: whole-trace submit = %d %+v, want a fresh admission at ρ %v", boot, code, ack, rho)
+		}
+		spent += rho
+		checkSpent("after the whole-trace admission")
+		if j, err := s.WaitJob(ack.JobID, 60*time.Second); err != nil || j.State() != JobDone {
+			t.Fatalf("boot %d: whole-trace job: %v", boot, err)
+		}
+		checkCountJobs("after the whole-trace job")
+		ts.Close()
+		shutdownServer(t, s)
 	}
 }

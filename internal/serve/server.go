@@ -925,18 +925,14 @@ type SynthesisRequest struct {
 	Tau        float64 `json:"tau"`
 	KeyAttr    string  `json:"key_attr"`
 	UseGUM     bool    `json:"use_gum"`
-	// Windows and WindowSpan request windowed synthesis (set at most
-	// one); each window is synthesized under the full (ε, δ) and
-	// streamed into result.csv as it completes. WindowSpan cuts fixed
-	// time buckets of that many timestamp units — membership is
-	// data-independent, so each window's release charges ONE window's
-	// ρ to its own (span, bucket) ledger key, and distinct keys
-	// compose in parallel (the ledger position is their max). Windows
-	// cuts that many row-count quantile windows — boundaries are
-	// data-dependent, so the ledger charges windows × ρ at admission
-	// (sequential composition). Streaming datasets accept only
-	// WindowSpan. See Queue.Submit for the full argument.
-	Windows    int   `json:"windows"`
+	// WindowSpan requests windowed synthesis: fixed time buckets of
+	// that many timestamp units, each synthesized under the full
+	// (ε, δ) and streamed into result.csv as it completes. Membership
+	// is data-independent, so each window's release charges ONE
+	// window's ρ to its own (span, bucket) ledger key, and distinct
+	// keys compose in parallel (the ledger position is their max).
+	// Streaming datasets require it. See Queue.Submit for the full
+	// argument.
 	WindowSpan int64 `json:"window_span"`
 	// Follow requests a live-feed follow job (feed datasets only):
 	// synthesize each window of the current epoch as it lands, finish
@@ -960,7 +956,6 @@ type SynthesisResponse struct {
 	// per-window ρ each released bucket's ledger key is charged.
 	Rho        float64  `json:"rho"`
 	State      JobState `json:"state"`
-	Windows    int      `json:"windows,omitempty"`
 	WindowSpan int64    `json:"window_span,omitempty"`
 	Follow     bool     `json:"follow,omitempty"`
 	Epoch      int      `json:"epoch,omitempty"`
@@ -989,7 +984,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		UseGUM:           req.UseGUM,
 	}
 	job, cached, err := s.queue.Submit(d, cfg, SubmitRequest{
-		Windows:  req.Windows,
 		Span:     req.WindowSpan,
 		Follow:   req.Follow,
 		BucketLo: req.BucketLo,
@@ -1020,7 +1014,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		Cached:     cached,
 		Rho:        job.Rho,
 		State:      info.State,
-		Windows:    job.Windows,
 		WindowSpan: job.Span,
 		Follow:     job.Follow,
 		Epoch:      job.Epoch,

@@ -109,12 +109,37 @@ func checkOneCSV(t *testing.T, body string, minRows int) {
 	}
 }
 
+// librarySpanCSV is the library's release of a trace at the given
+// config and span: SynthesizeTimeWindows over the loaded table, with
+// the windows concatenated under one header as result.csv serves them.
+func librarySpanCSV(t *testing.T, table *netdpsyn.Table, cfg netdpsyn.Config, span int64) string {
+	t.Helper()
+	syn, err := netdpsyn.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	first := true
+	err = syn.SynthesizeTimeWindows(table, span, func(wr netdpsyn.WindowResult) error {
+		if first {
+			first = false
+			return wr.Table.WriteCSV(&out)
+		}
+		return wr.Table.WriteCSVBody(&out)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 // TestWindowedJob drives the time-span windowed job kind end to end:
 // per-window progress, a streamed multi-window result with a single
 // header, and — the budget acceptance criterion — a charge of ONE
 // window's ρ under parallel composition (valid because a record's
 // window is ⌊ts/span⌋, a function of that record alone), with the 403
-// past the ceiling still enforced.
+// past the ceiling still enforced. The released bytes are the
+// library's SynthesizeTimeWindows output at the same seed and span.
 func TestWindowedJob(t *testing.T) {
 	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -161,6 +186,13 @@ func TestWindowedJob(t *testing.T) {
 		t.Fatalf("result.csv = %d", code)
 	}
 	checkOneCSV(t, body, 100)
+	table, err := netdpsyn.LoadCSV(strings.NewReader(csvBody), netdpsyn.FlowSchema(label))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := librarySpanCSV(t, table, netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 5}, span); body != want {
+		t.Fatal("span job result differs from SynthesizeTimeWindows at the same seed and span")
+	}
 
 	// The ledger holds exactly one window's ρ, not windows × ρ.
 	var budget serve.Status
@@ -186,11 +218,19 @@ func TestWindowedJob(t *testing.T) {
 	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req2, nil); code != http.StatusForbidden {
 		t.Fatalf("over-ceiling windowed submit = %d, want 403", code)
 	}
-	// Setting both windowings is a 400, before any charge.
-	req3 := req
-	req3.Windows = 2
-	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req3, nil); code != http.StatusBadRequest {
-		t.Fatalf("windows+window_span submit = %d, want 400", code)
+	// Span is the only window rule: a "windows" count is an unknown
+	// field, refused before any charge.
+	resp, err := client.Post(ts.URL+"/datasets/"+info.ID+"/synthesize", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"epsilon":1,"delta":1e-5,"iterations":3,"seed":5,"window_span":%d,"windows":2}`, span)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("windows+window_span submit = %d, want 400", resp.StatusCode)
+	}
+	if code := getJSON(t, client, ts.URL+"/datasets/"+info.ID+"/budget", &budget); code != http.StatusOK || math.Abs(budget.SpentRho-rho1) > 1e-12 {
+		t.Fatalf("spent ρ after refused submits = %v (%d), want %v", budget.SpentRho, code, rho1)
 	}
 	if got := s.Handler(); got == nil {
 		t.Fatal("handler disappeared")
@@ -198,60 +238,12 @@ func TestWindowedJob(t *testing.T) {
 	shutdownSrv(t, s)
 }
 
-// TestCountWindowedJobChargesSequentially: count-quantile windows cut
-// at row ranks, whose membership is data-dependent, so parallel
-// composition does not apply and the ledger must charge windows × ρ.
-func TestCountWindowedJobChargesSequentially(t *testing.T) {
-	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer shutdownSrv(t, s)
-	client := ts.Client()
-
-	csvBody, label := sortedFlowCSV(t, 600)
-	rho1, err := netdpsyn.RhoFromEpsDelta(1.0, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ceiling fits the 3-window sequential charge exactly once.
-	info, code := register(t, ts, fmt.Sprintf("schema=flow&label=%s&budget_rho=%g&budget_delta=1e-5", label, 3.5*rho1), csvBody)
-	if code != http.StatusCreated {
-		t.Fatalf("register = %d", code)
-	}
-	var ack serve.SynthesisResponse
-	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, Windows: 3}
-	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
-		t.Fatalf("count-windowed submit = %d", code)
-	}
-	if ack.Windows != 3 {
-		t.Fatalf("ack windows = %d", ack.Windows)
-	}
-	if math.Abs(ack.Rho-3*rho1) > 1e-12 {
-		t.Fatalf("count-windowed charge ρ = %v, want 3 × %v (sequential composition)", ack.Rho, rho1)
-	}
-	done := pollJob(t, client, ts.URL, ack.JobID)
-	if done.State != serve.JobDone || done.Windows != 3 || done.WindowsDone != 3 {
-		t.Fatalf("job = %s (%s), progress %d/%d", done.State, done.Error, done.WindowsDone, done.Windows)
-	}
-	var budget serve.Status
-	if code := getJSON(t, client, ts.URL+"/datasets/"+info.ID+"/budget", &budget); code != http.StatusOK {
-		t.Fatalf("budget = %d", code)
-	}
-	if math.Abs(budget.SpentRho-3*rho1) > 1e-12 {
-		t.Fatalf("spent ρ = %v, want %v", budget.SpentRho, 3*rho1)
-	}
-	// A second 3-window release would overdraw the 3.5ρ ceiling.
-	req.Seed = 6
-	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req, nil); code != http.StatusForbidden {
-		t.Fatalf("over-ceiling count-windowed submit = %d, want 403", code)
-	}
-}
-
 // TestStreamingDatasetEndToEnd covers the spool-only dataset: a
 // streaming registration never materializes the trace, windowed jobs
-// re-stream it from disk, the result persists under the state dir,
-// and a restarted daemon recovers the dataset (by spool) and serves
-// the finished result directly.
+// re-stream it from disk (the same bytes SynthesizeTimeWindows
+// releases over the loaded trace), the result persists under the state
+// dir, and a restarted daemon recovers the dataset (by spool) and
+// serves the finished result directly.
 func TestStreamingDatasetEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 2, StateDir: dir})
@@ -274,14 +266,6 @@ func TestStreamingDatasetEndToEnd(t *testing.T) {
 		serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5}, nil); code != http.StatusBadRequest {
 		t.Fatalf("plain submit on streaming dataset = %d, want 400", code)
 	}
-	// So is a count-windowed request: quantile boundaries need the
-	// whole trace's row ranks and can degenerate to one full-trace
-	// window.
-	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize",
-		serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, Windows: 3}, nil); code != http.StatusBadRequest {
-		t.Fatalf("count-windowed submit on streaming dataset = %d, want 400", code)
-	}
-
 	var ack serve.SynthesisResponse
 	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, WindowSpan: span}
 	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
@@ -296,6 +280,13 @@ func TestStreamingDatasetEndToEnd(t *testing.T) {
 		t.Fatalf("result.csv = %d", code)
 	}
 	checkOneCSV(t, body, 100)
+	table, err := netdpsyn.LoadCSV(strings.NewReader(csvBody), netdpsyn.FlowSchema(label))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := librarySpanCSV(t, table, netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 5}, span); body != want {
+		t.Fatal("streaming span job result differs from SynthesizeTimeWindows at the same seed and span")
+	}
 	spent := done.Rho
 
 	// Restart from the state dir: the streaming dataset comes back
@@ -427,7 +418,7 @@ func TestWindowedResultFollows(t *testing.T) {
 		t.Fatalf("register = %d", code)
 	}
 	var ack serve.SynthesisResponse
-	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 4, Seed: 21, Windows: 4}
+	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 4, Seed: 21, WindowSpan: flowSpan(t, csvBody, label, 4)}
 	if code := postJSON(t, ts.Client(), ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}

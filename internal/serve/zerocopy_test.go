@@ -3,8 +3,10 @@ package serve_test
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -113,7 +115,7 @@ func TestResultMemorySpoolWholeServing(t *testing.T) {
 		t.Fatalf("register = %d", code)
 	}
 	var ack serve.SynthesisResponse
-	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, Windows: 3}
+	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5, WindowSpan: flowSpan(t, csvBody, label, 3)}
 	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -133,4 +135,80 @@ func TestResultMemorySpoolWholeServing(t *testing.T) {
 		t.Fatalf("Content-Length = %d, body is %d bytes", resp.ContentLength, len(full))
 	}
 	checkOneCSV(t, string(full), 100)
+}
+
+// readFromRecorder is a ResponseWriter that, like net/http's own,
+// implements io.ReaderFrom; it records the source of every ReadFrom
+// call.
+type readFromRecorder struct {
+	*httptest.ResponseRecorder
+	srcs []io.Reader
+}
+
+func (rw *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	rw.srcs = append(rw.srcs, src)
+	return io.Copy(struct{ io.Writer }{rw.ResponseRecorder}, src)
+}
+
+// TestResultServedThroughReadFrom: the observability middleware must
+// not hide the ResponseWriter's io.ReaderFrom. net/http's response
+// implements ReadFrom with sendfile(2) for an *os.File source, so a
+// finished durable result reaches sendfile only if http.ServeContent's
+// copy is handed through the middleware's wrapper — and the access log
+// must still count the bytes exactly.
+func TestResultServedThroughReadFrom(t *testing.T) {
+	logBuf := &syncBuffer{}
+	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 2, StateDir: t.TempDir(),
+		Logger: slog.New(slog.NewTextHandler(logBuf, nil))})
+	defer shutdownSrv(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	csvBody, label := flowCSV(t, 300)
+	info, code := register(t, ts, "schema=flow&label="+label, csvBody)
+	if code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	var ack serve.SynthesisResponse
+	req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5}
+	if code := postJSON(t, client, ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	if done := pollJob(t, client, ts.URL, ack.JobID); done.State != serve.JobDone {
+		t.Fatalf("job = %s (%s)", done.State, done.Error)
+	}
+	want, code := fetchCSV(t, ts, ack.JobID)
+	if code != http.StatusOK {
+		t.Fatalf("result.csv = %d", code)
+	}
+
+	path := "/jobs/" + ack.JobID + "/result.csv"
+	rw := &readFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, path, nil))
+	if rw.Code != http.StatusOK || rw.Body.String() != want {
+		t.Fatalf("result.csv through the handler = %d, %d bytes; want 200, %d bytes", rw.Code, rw.Body.Len(), len(want))
+	}
+	if len(rw.srcs) != 1 {
+		t.Fatalf("ReadFrom calls = %d, want 1 — the copy bypassed the writer's ReadFrom, so no sendfile", len(rw.srcs))
+	}
+	lr, ok := rw.srcs[0].(*io.LimitedReader)
+	if !ok {
+		t.Fatalf("ReadFrom source = %T, want *io.LimitedReader", rw.srcs[0])
+	}
+	if _, ok := lr.R.(*os.File); !ok {
+		t.Fatalf("ReadFrom source reads %T, want the spool *os.File", lr.R)
+	}
+	var logged bool
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, "path="+path) && strings.Contains(line, "status=200") {
+			logged = true
+			if !strings.Contains(line, fmt.Sprintf(" bytes=%d ", len(want))) {
+				t.Errorf("access log line %q, want bytes=%d", line, len(want))
+			}
+		}
+	}
+	if !logged {
+		t.Fatal("no access log line for result.csv")
+	}
 }

@@ -253,8 +253,7 @@ type WindowResult struct {
 	// Window is the time-window index within the trace.
 	Window int
 	// Bucket is the window's bucket key (the source's Window.ID): the
-	// absolute time bucket ⌊ts/span⌋ for span-partitioned runs, the
-	// window index for count-cut runs. It is the key a per-window
+	// absolute time bucket ⌊ts/span⌋. It is the key a per-window
 	// budget ledger charges and the one job traces report.
 	Bucket int64
 	// Table is the synthesized trace for this window, same schema as
@@ -262,14 +261,9 @@ type WindowResult struct {
 	Table *Table
 	// Records is the number of synthesized records in this window.
 	Records int
-	// Rho is the zCDP budget the window's release consumed. How the
-	// per-window charges compose across a run depends on the
-	// partitioning rule: fixed time-span windows (WindowSpan,
-	// SynthesizeTimeWindows) have data-independent membership, so
-	// they compose in parallel and the whole release costs one
-	// window's ρ; count- or row-cut windows have data-dependent
-	// boundaries, so a record-level guarantee for the whole release
-	// composes sequentially (windows × ρ).
+	// Rho is the zCDP budget the window's release consumed. Fixed
+	// time-span windows have data-independent membership, so they
+	// compose in parallel and the whole release costs one window's ρ.
 	Rho float64
 	// Stages is the window's per-stage wall/busy timing split.
 	Stages map[string]StageTiming
@@ -278,37 +272,21 @@ type WindowResult struct {
 	Spans []StageSpan
 }
 
-// StreamOptions configures SynthesizeStream's windowing. Exactly one
-// partitioning rule must be set:
-//
-//   - WindowSpan: fixed time-range windows of that many timestamp
-//     units — a record with timestamp ts lands in bucket ⌊ts/span⌋,
-//     a function of the record alone. This data-independent
-//     membership is what the parallel composition theorem requires,
-//     so it is the only mode whose combined release carries a
-//     record-level (ε, δ) guarantee at one window's cost. Identical
-//     to SynthesizeTimeWindows over the pre-loaded table.
-//   - Windows + TotalRows: quantile-by-count windows, identical to
-//     SynthesizeWindows over the pre-loaded table (use when the
-//     stream length is known, e.g. counted at registration).
-//     Boundaries sit at row ranks and are data-dependent: each
-//     window is (ε, δ)-DP in isolation, but a record-level guarantee
-//     for the whole release composes sequentially.
-//   - WindowRows: fixed-size windows of that many records, for
-//     streams of unknown length. Data-dependent boundaries, like
-//     Windows.
+// StreamOptions configures SynthesizeStream's windowing.
 type StreamOptions struct {
-	Windows    int
-	TotalRows  int
-	WindowRows int
 	// WindowSpan selects fixed time-range windows of that many
-	// timestamp units.
+	// timestamp units — a record with timestamp ts lands in bucket
+	// ⌊ts/span⌋, a function of the record alone. This data-independent
+	// membership is what the parallel composition theorem requires, so
+	// the combined release carries a record-level (ε, δ) guarantee at
+	// one window's cost. Identical to SynthesizeTimeWindows over the
+	// pre-loaded table. SynthesizeStream requires it.
 	WindowSpan int64
-	// MaxWindowRows, with WindowSpan, fails the stream if one time
-	// window holds more than this many records (0 = unbounded): a
-	// resource guard keeping the per-window working set bounded when
-	// the trace is bigger than RAM. A tripped cap means the span is
-	// too coarse for the trace's density.
+	// MaxWindowRows fails the stream if one time window holds more
+	// than this many records (0 = unbounded): a resource guard keeping
+	// the per-window working set bounded when the trace is bigger than
+	// RAM. A tripped cap means the span is too coarse for the trace's
+	// density.
 	MaxWindowRows int
 	// BatchRows tunes the CSV decode batch size (0 = default 4096).
 	// It affects memory granularity only, never output.
@@ -333,12 +311,11 @@ type StreamOptions struct {
 // The stream must be time-ordered on the "ts" field; each
 // time-contiguous window is synthesized under the full (ε, δ) budget
 // of cfg and emitted through emit in window order as it completes.
-// The guarantee of the combined release depends on the partitioning
-// rule — see StreamOptions: WindowSpan composes in parallel
-// (record-level (ε, δ) overall), Windows/WindowRows compose
-// sequentially. At a fixed cfg.Seed and partitioning the emitted
-// windows are byte-identical to the batch path on the pre-loaded
-// table, for any worker count.
+// The windows are fixed time spans (StreamOptions.WindowSpan), which
+// compose in parallel: the combined release is record-level (ε, δ)-DP.
+// At a fixed cfg.Seed and span the emitted windows are byte-identical
+// to SynthesizeTimeWindows on the pre-loaded table, for any worker
+// count.
 func SynthesizeStream(r io.Reader, schema *Schema, cfg Config, opts StreamOptions, emit func(WindowResult) error) error {
 	syn, err := New(cfg)
 	if err != nil {
@@ -356,9 +333,6 @@ func (s *Synthesizer) SynthesizeStream(r io.Reader, schema *Schema, opts StreamO
 	}
 	src, err := dataset.NewStreamWindows(cs, schema, dataset.WindowSplit{
 		Field:       FieldTS,
-		Windows:     opts.Windows,
-		TotalRows:   opts.TotalRows,
-		MaxRows:     opts.WindowRows,
 		Span:        opts.WindowSpan,
 		MaxSpanRows: opts.MaxWindowRows,
 	})
@@ -366,25 +340,6 @@ func (s *Synthesizer) SynthesizeStream(r io.Reader, schema *Schema, opts StreamO
 		return err
 	}
 	return s.synthesizeGated(src, opts.BeforeWindow, emit)
-}
-
-// SynthesizeWindows splits a pre-loaded trace into `windows` disjoint
-// time-contiguous partitions at row-count quantiles and synthesizes
-// each under the full (ε, δ) budget, emitting every window as it
-// completes. The quantile boundaries are data-dependent, so each
-// window's release is (ε, δ)-DP in isolation but the combined release
-// composes sequentially (windows × ρ); use SynthesizeTimeWindows for
-// a record-level guarantee over the whole release at one window's
-// cost.
-func (s *Synthesizer) SynthesizeWindows(t *Table, windows int, emit func(WindowResult) error) error {
-	if t == nil || t.NumRows() == 0 {
-		return fmt.Errorf("netdpsyn: empty input table")
-	}
-	src, err := core.NewTableWindows(t, windows)
-	if err != nil {
-		return err
-	}
-	return s.synthesizeSource(src, emit)
 }
 
 // SynthesizeTimeWindows splits a pre-loaded trace into fixed time
@@ -457,12 +412,12 @@ func TimeWindowSource(t *Table, span int64) (WindowSource, error) {
 // (ε, δ) budget with a seed derived from (Config.Seed, Window.ID) and
 // emitted in yield order as it completes. The source decides the
 // partitioning — and therefore the composition argument; see
-// StreamOptions. Of opts, only BeforeWindow applies here (the split
+// WindowSource. Of opts, only BeforeWindow applies here (the split
 // fields configure CSV streams and must be zero). With a live source
 // (WindowFeed.Live) the call keeps synthesizing windows as they are
 // published and returns when the feed is closed and drained.
 func (s *Synthesizer) SynthesizeSource(src WindowSource, opts StreamOptions, emit func(WindowResult) error) error {
-	if opts.Windows != 0 || opts.TotalRows != 0 || opts.WindowRows != 0 || opts.WindowSpan != 0 || opts.MaxWindowRows != 0 || opts.BatchRows != 0 {
+	if opts.WindowSpan != 0 || opts.MaxWindowRows != 0 || opts.BatchRows != 0 {
 		return fmt.Errorf("netdpsyn: SynthesizeSource takes the partitioning from the source; only StreamOptions.BeforeWindow may be set")
 	}
 	if src == nil {
@@ -530,8 +485,7 @@ func (s *Synthesizer) synthesizeSource(src core.WindowSource, emit func(WindowRe
 // materializing it: the header must cover the schema, every row must
 // decode, and the "ts" field must be non-decreasing (streaming
 // windows are cut in stream order, so an unsorted trace would not
-// yield time-contiguous partitions). It returns the record count —
-// which StreamOptions.TotalRows needs for quantile windowing — and
+// yield time-contiguous partitions). It returns the record count and
 // reads the input exactly once, in bounded memory.
 func ScanCSV(r io.Reader, schema *Schema) (rows int, err error) {
 	tsIdx := schema.Index(FieldTS)

@@ -70,11 +70,7 @@ func (s *Synthesizer) Synthesize(t *dataset.Table) (*dataset.Table, error) {
 	// 1-way marginals we use as CDFs), 0.8 for the correlation matrix.
 	rhoBin, rhoCorr := 0.2*rho, 0.8*rho
 
-	enc, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xea)
-	if err != nil {
-		return nil, err
-	}
-	encoded, err := enc.Encode(t)
+	enc, encoded, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xea)
 	if err != nil {
 		return nil, err
 	}

@@ -117,11 +117,7 @@ func (s *Synthesizer) Synthesize(t *dataset.Table) (*dataset.Table, error) {
 	// Budget: 0.1 binning, 0.9 DP-SGD.
 	rhoBin, rhoSGD := 0.1*rho, 0.9*rho
 
-	enc, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xda)
-	if err != nil {
-		return nil, err
-	}
-	encoded, err := enc.Encode(t)
+	enc, encoded, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xda)
 	if err != nil {
 		return nil, err
 	}

@@ -105,11 +105,7 @@ func (s *Synthesizer) Synthesize(t *dataset.Table) (*dataset.Table, error) {
 	// with NetDPSyn's split for comparability).
 	rhoBin, rhoStruct, rhoMeasure := 0.1*rho, 0.1*rho, 0.8*rho
 
-	enc, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xaa)
-	if err != nil {
-		return nil, err
-	}
-	encoded, err := enc.Encode(t)
+	enc, encoded, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xaa)
 	if err != nil {
 		return nil, err
 	}

@@ -128,11 +128,7 @@ func (s *Synthesizer) Synthesize(t *dataset.Table) (*dataset.Table, error) {
 			ErrMemoryExceeded, footprint*3, cfg.MemoryBudgetCells)
 	}
 
-	enc, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xca)
-	if err != nil {
-		return nil, err
-	}
-	encoded, err := enc.Encode(t)
+	enc, encoded, err := binning.Build(t, cfg.Binning, rhoBin, cfg.Seed^0xca)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,8 @@ type Bin struct {
 	Lo, Hi int64
 }
 
-// Width returns the number of raw values the bin covers.
+// Width returns the number of raw values the bin covers; it overflows
+// for bins of more than MaxInt64 values.
 func (b Bin) Width() int64 { return b.Hi - b.Lo + 1 }
 
 // Contains reports whether v falls inside the bin.
@@ -121,54 +122,76 @@ type Encoder struct {
 	dicts []*dataset.Dict
 }
 
-// Build derives the binning from a table. rhoBin is the zCDP budget
-// for the data-dependent (frequency) pass — NetDPSyn allocates 0.1ρ —
-// split evenly across attributes. seed drives the noise.
-func Build(t *dataset.Table, cfg Config, rhoBin float64, seed uint64) (*Encoder, error) {
-	if t.NumRows() == 0 {
-		return nil, fmt.Errorf("binning: empty table")
+// Build derives the binning from a table and returns it together with
+// the table's encoded form: every row's code, written while the
+// binning pass visits the row anyway (the same codes Encode would
+// assign). rhoBin is the zCDP budget for the data-dependent
+// (frequency) pass — NetDPSyn allocates 0.1ρ — split evenly across
+// attributes. seed drives the noise.
+func Build(t *dataset.Table, cfg Config, rhoBin float64, seed uint64) (*Encoder, *dataset.Encoded, error) {
+	n := t.NumRows()
+	if n == 0 {
+		return nil, nil, fmt.Errorf("binning: empty table")
+	}
+	// logBins walks boundaries until they leave the int64 range, and
+	// portBins divides by the width.
+	if k := cfg.LogBinsPerUnit; !(k > 0) || math.IsInf(k, 1) {
+		return nil, nil, fmt.Errorf("binning: LogBinsPerUnit %v is not positive and finite", k)
+	}
+	if cfg.PortBinWidth < 1 {
+		return nil, nil, fmt.Errorf("binning: PortBinWidth %d is not positive", cfg.PortBinWidth)
 	}
 	d := t.Schema().NumFields()
 	rhoPer := rhoBin / float64(d)
-	enc := &Encoder{cfg: cfg, dicts: make([]*dataset.Dict, d)}
+	enc := &Encoder{cfg: cfg, dicts: make([]*dataset.Dict, d), Attrs: make([]Attr, d)}
+	names := make([]string, d)
+	domains := make([]int, d)
+	encoded := dataset.NewEncoded(names, domains, n)
 	for i, f := range t.Schema().Fields {
 		enc.dicts[i] = t.Dict(i)
-		attr, err := buildAttr(t, i, f, cfg, rhoPer, seed+uint64(i)*7919)
-		if err != nil {
-			return nil, fmt.Errorf("binning: field %q: %w", f.Name, err)
+		if err := buildAttr(&enc.Attrs[i], t.Column(i), encoded.Cols[i], f, cfg, rhoPer, seed+uint64(i)*7919); err != nil {
+			return nil, nil, fmt.Errorf("binning: field %q: %w", f.Name, err)
 		}
-		enc.Attrs = append(enc.Attrs, *attr)
+		names[i], domains[i] = f.Name, enc.Attrs[i].Domain()
 	}
-	return enc, nil
+	return enc, encoded, nil
 }
 
-// buildAttr runs the two binning passes for one attribute.
-func buildAttr(t *dataset.Table, col int, f dataset.Field, cfg Config, rho float64, seed uint64) (*Attr, error) {
-	values := t.Column(col)
+// buildAttr runs the two binning passes for one attribute. The
+// type-dependent pass writes each row's initial-bin index into codes
+// and counts the bins from it; once the frequency-dependent pass has
+// merged the bins, codes is rewritten to the final codes.
+func buildAttr(attr *Attr, values []int64, codes []int32, f dataset.Field, cfg Config, rho float64, seed uint64) error {
 	var initial []Bin
+	var counts []float64
+	// toInitial maps what the first pass wrote into codes to the
+	// initial bin index; nil when it already wrote the index.
+	var toInitial []int32
 	switch f.Kind {
-	case dataset.KindIP:
-		initial = identityBins(values)
+	case dataset.KindIP, dataset.KindCategorical:
+		initial, counts, toInitial = identityBins(values, codes)
 	case dataset.KindPort:
-		initial = portBins(values, cfg)
-	case dataset.KindCategorical:
-		initial = identityBins(values)
+		var err error
+		if initial, counts, toInitial, err = portBins(values, codes, cfg); err != nil {
+			return err
+		}
 	case dataset.KindNumeric:
-		initial = logBins(values, cfg.LogBinsPerUnit)
+		initial = logBins(maxValue(values), cfg.LogBinsPerUnit)
+		counts = countBins(initial, values, codes)
 	case dataset.KindTimestamp:
-		initial = rangeBins(values, cfg.TimestampBins)
+		mn, mx := minMax(values)
+		w := rangeWidth(mn, mx, cfg.TimestampBins)
+		initial = rangeBins(mn, mx, w)
+		counts = countRange(len(initial), mn, w, values, codes)
 	default:
-		return nil, fmt.Errorf("unknown kind %v", f.Kind)
+		return fmt.Errorf("unknown kind %v", f.Kind)
 	}
-
-	// Exact counts over the initial bins (private intermediate).
-	counts := countBins(initial, values)
 
 	// Publish noisy counts with the binning budget; the Gaussian σ
 	// also defines the merge threshold.
 	gm, err := dp.NewGaussian(1, rho, seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	noisy := gm.Perturb(counts)
 	threshold := cfg.MergeSigmas * gm.Sigma
@@ -176,7 +199,7 @@ func buildAttr(t *dataset.Table, col int, f dataset.Field, cfg Config, rho float
 		threshold = floor
 	}
 
-	attr := &Attr{Field: f, Sigma: gm.Sigma}
+	*attr = Attr{Field: f, Sigma: gm.Sigma}
 	switch f.Kind {
 	case dataset.KindCategorical:
 		// Categorical attributes with small domains are not binned.
@@ -187,87 +210,121 @@ func buildAttr(t *dataset.Table, col int, f dataset.Field, cfg Config, rho float
 		attr.Bins, attr.NoisyCounts = mergeAdjacent(initial, noisy, threshold, cfg.MaxBinsPerAttr)
 	}
 	attr.buildLookup()
-	return attr, nil
+
+	// Each initial bin's final code is Code of a value in it, which
+	// is what Encode assigns every row of the bin: identity bins hold
+	// one value, and every other final bin is a union of whole
+	// initial bins, so Code is constant over each. It is not "the
+	// final bin containing the initial bin": Code's walk-back can
+	// miss an IP address's bin among nested group bins, and the
+	// encoding must match Code, misses included.
+	final := make([]int32, len(initial))
+	for i, b := range initial {
+		final[i] = attr.Code(b.Lo)
+	}
+	if toInitial != nil {
+		for k, i := range toInitial {
+			toInitial[k] = final[i]
+		}
+		final = toInitial
+	}
+	for r, c := range codes {
+		codes[r] = final[c]
+	}
+	return nil
 }
 
-// identityBins returns one bin per distinct value, sorted.
-func identityBins(values []int64) []Bin {
-	seen := make(map[int64]struct{})
-	for _, v := range values {
-		seen[v] = struct{}{}
+// identityBins returns one bin per distinct value, sorted, with each
+// value's count. It writes each row's dedup id (order of first
+// appearance) into ids and returns the id → bin index table.
+func identityBins(values []int64, ids []int32) ([]Bin, []float64, []int32) {
+	seen := make(map[int64]int32)
+	var bins []Bin
+	var tally []float64
+	for r, v := range values {
+		id, ok := seen[v]
+		if !ok {
+			id = int32(len(bins))
+			seen[v] = id
+			bins = append(bins, Bin{Lo: v, Hi: v})
+			tally = append(tally, 0)
+		}
+		ids[r] = id
+		tally[id]++
 	}
-	distinct := make([]int64, 0, len(seen))
-	for v := range seen {
-		distinct = append(distinct, v)
-	}
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
-	bins := make([]Bin, len(distinct))
-	for i, v := range distinct {
-		bins[i] = Bin{Lo: v, Hi: v}
-	}
-	return bins
+	return sortInitial(bins, tally)
 }
 
 // portBins keeps observed ports below the common-port limit un-binned
-// and groups higher ports into fixed-width ranges.
-func portBins(values []int64, cfg Config) []Bin {
+// and groups higher ports into fixed-width ranges, counting each bin.
+// Like identityBins it writes a per-row id (distinct low ports and
+// high groups, in order of first appearance) into ids and returns the
+// id → bin index table. A port outside 0–65535 is an error.
+func portBins(values []int64, ids []int32, cfg Config) ([]Bin, []float64, []int32, error) {
 	limit := int64(cfg.CommonPortLimit)
 	w := int64(cfg.PortBinWidth)
-	low := make(map[int64]struct{})
-	high := make(map[int64]struct{})
-	for _, v := range values {
-		if v < limit {
-			low[v] = struct{}{}
-		} else {
-			high[(v-limit)/w] = struct{}{}
-		}
-	}
+	low := make(map[int64]int32)
+	high := make(map[int64]int32)
 	var bins []Bin
-	for v := range low {
-		bins = append(bins, Bin{Lo: v, Hi: v})
-	}
-	for g := range high {
-		lo := limit + g*w
-		hi := lo + w - 1
-		if hi > 65535 {
-			hi = 65535 // port numbers must stay below 65536 (§3.4)
+	var tally []float64
+	for r, v := range values {
+		if v < 0 || v > dataset.MaxPort {
+			return nil, nil, nil, fmt.Errorf("port %d outside 0–%d", v, dataset.MaxPort)
 		}
-		bins = append(bins, Bin{Lo: lo, Hi: hi})
+		var id int32
+		var ok bool
+		if v < limit {
+			if id, ok = low[v]; !ok {
+				id = int32(len(bins))
+				low[v] = id
+				bins = append(bins, Bin{Lo: v, Hi: v})
+			}
+		} else {
+			g := (v - limit) / w
+			if id, ok = high[g]; !ok {
+				id = int32(len(bins))
+				high[g] = id
+				lo := limit + g*w
+				// Port numbers must stay below 65536 (§3.4).
+				bins = append(bins, Bin{Lo: lo, Hi: min(lo+w-1, dataset.MaxPort)})
+			}
+		}
+		if !ok {
+			tally = append(tally, 0)
+		}
+		ids[r] = id
+		tally[id]++
 	}
-	sort.Slice(bins, func(a, b int) bool { return bins[a].Lo < bins[b].Lo })
-	return bins
+	bins, tally, toBin := sortInitial(bins, tally)
+	return bins, tally, toBin, nil
 }
 
-// logBins bins non-negative numerics under log(1+x) with k bins per
-// log unit: boundaries at ceil(e^(i/k) − 1). Bin boundaries are
-// data-independent; consecutive boundaries that round to the same
-// integer are collapsed, so bins are contiguous and non-overlapping.
-func logBins(values []int64, k float64) []Bin {
+// sortInitial sorts initial bins, listed with their counts in order of
+// first appearance, by lower bound, and returns the first-appearance
+// id → bin index table.
+func sortInitial(bins []Bin, counts []float64) ([]Bin, []float64, []int32) {
+	order := sortBins(&bins, &counts)
+	toBin := make([]int32, len(order))
+	for i, id := range order {
+		toBin[id] = int32(i)
+	}
+	return bins, counts, toBin
+}
+
+// maxValue returns the largest value, or 0 if none is positive.
+func maxValue(values []int64) int64 {
 	var maxV int64
 	for _, v := range values {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	var bins []Bin
-	lo := int64(0)
-	for i := 1; ; i++ {
-		next := int64(math.Ceil(math.Expm1(float64(i) / k)))
-		if next <= lo {
-			continue // empty integer range at this granularity
-		}
-		bins = append(bins, Bin{Lo: lo, Hi: next - 1})
-		if next-1 >= maxV {
-			break
-		}
-		lo = next
-	}
-	return bins
+	return maxV
 }
 
-// rangeBins splits [min, max] into n equal-width bins.
-func rangeBins(values []int64, n int) []Bin {
-	mn, mx := values[0], values[0]
+// minMax returns the smallest and largest of a non-empty slice.
+func minMax(values []int64) (mn, mx int64) {
+	mn, mx = values[0], values[0]
 	for _, v := range values {
 		if v < mn {
 			mn = v
@@ -276,39 +333,104 @@ func rangeBins(values []int64, n int) []Bin {
 			mx = v
 		}
 	}
+	return mn, mx
+}
+
+// logBins bins non-negative numerics up to maxV under log(1+x) with k
+// bins per log unit: boundaries at ceil(e^(i/k) − 1). Bin boundaries
+// are data-independent; consecutive boundaries that round to the same
+// integer are collapsed, so bins are contiguous and non-overlapping.
+// The first boundary past the int64 range closes the last bin at
+// MaxInt64, so at most about 44·k boundaries are visited.
+func logBins(maxV int64, k float64) []Bin {
+	var bins []Bin
+	lo := int64(0)
+	for i := 1; ; i++ {
+		f := math.Ceil(math.Expm1(float64(i) / k))
+		if !(f < 1<<63) {
+			return append(bins, Bin{Lo: lo, Hi: math.MaxInt64})
+		}
+		next := int64(f)
+		if next <= lo {
+			continue // empty integer range at this granularity
+		}
+		bins = append(bins, Bin{Lo: lo, Hi: next - 1})
+		if next-1 >= maxV {
+			return bins
+		}
+		lo = next
+	}
+}
+
+// rangeBins splits [mn, mx] into consecutive bins of width w (the
+// last one possibly narrower). Bounds are computed on the unsigned
+// offset from mn, so ranges wider than MaxInt64 neither overflow nor
+// wrap.
+func rangeBins(mn, mx int64, w uint64) []Bin {
+	span := uint64(mx) - uint64(mn)
+	bins := make([]Bin, 0, span/w+1)
+	for off := uint64(0); ; off += w {
+		lo := int64(uint64(mn) + off)
+		hi := mx
+		if w-1 <= span-off {
+			hi = int64(uint64(lo) + w - 1)
+		}
+		bins = append(bins, Bin{Lo: lo, Hi: hi})
+		if span-off < w {
+			return bins
+		}
+	}
+}
+
+// rangeWidth is the width that splits [mn, mx] into n equal bins:
+// ⌊(mx − mn + 1)/n⌋, at least 1, computed without forming mx − mn + 1
+// (which overflows for a range of 2^64 values). The split yields
+// fewer than 2n bins.
+func rangeWidth(mn, mx int64, n int) uint64 {
 	if n < 1 {
 		n = 1
 	}
-	span := mx - mn + 1
-	w := span / int64(n)
-	if w < 1 {
-		w = 1
+	span := uint64(mx) - uint64(mn)
+	w := span / uint64(n)
+	if span%uint64(n) == uint64(n)-1 {
+		w++
 	}
-	var bins []Bin
-	for lo := mn; lo <= mx; lo += w {
-		hi := lo + w - 1
-		if hi > mx {
-			hi = mx
-		}
-		bins = append(bins, Bin{Lo: lo, Hi: hi})
-	}
-	return bins
+	return max(w, 1)
 }
 
-// countBins tallies raw values into the initial bins by binary search
-// on the bin lower bounds (bins are sorted and non-overlapping for
-// every initial binning).
-func countBins(bins []Bin, values []int64) []float64 {
+// countBins writes each value's initial bin into codes — the last bin
+// whose lower bound is ≤ v, or bin 0 below the first — and returns the
+// bin counts. Bins are sorted and non-overlapping.
+func countBins(bins []Bin, values []int64, codes []int32) []float64 {
 	counts := make([]float64, len(bins))
 	los := make([]int64, len(bins))
 	for i, b := range bins {
 		los[i] = b.Lo
 	}
-	for _, v := range values {
-		idx := sort.Search(len(los), func(i int) bool { return los[i] > v }) - 1
-		if idx < 0 {
-			idx = 0
+	for r, v := range values {
+		lo, hi := 0, len(los)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if los[mid] > v {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
+		idx := max(lo-1, 0)
+		codes[r] = int32(idx)
+		counts[idx]++
+	}
+	return counts
+}
+
+// countRange is countBins for nb consecutive bins of width w from
+// mn, where a value's bin is its offset from mn divided by w.
+func countRange(nb int, mn int64, w uint64, values []int64, codes []int32) []float64 {
+	counts := make([]float64, nb)
+	for r, v := range values {
+		idx := (uint64(v) - uint64(mn)) / w
+		codes[r] = int32(idx)
 		counts[idx]++
 	}
 	return counts
@@ -438,7 +560,9 @@ func prefixBase(addr int64, bits uint) int64 {
 	return addr & mask
 }
 
-func sortBins(bins *[]Bin, counts *[]float64) {
+// sortBins sorts bins and their counts together by (Lo, Hi) and
+// returns the order: the i-th sorted bin was (*bins)[order[i]].
+func sortBins(bins *[]Bin, counts *[]float64) []int {
 	idx := make([]int, len(*bins))
 	for i := range idx {
 		idx[i] = i
@@ -461,6 +585,7 @@ func sortBins(bins *[]Bin, counts *[]float64) {
 		nc[i] = (*counts)[j]
 	}
 	*bins, *counts = nb, nc
+	return idx
 }
 
 // buildLookup prepares the value→code structures.
@@ -509,7 +634,14 @@ func (a *Attr) Sample(rng *rand.Rand, c int32) int64 {
 	if b.Lo == b.Hi {
 		return b.Lo
 	}
-	return b.Lo + rng.Int64N(b.Width())
+	// The width as an unsigned count, so a bin such as [0, MaxInt64]
+	// does not overflow; it wraps to 0 only for the full int64 range.
+	// Uint64N(n) draws the same stream Int64N(n) does.
+	w := uint64(b.Hi) - uint64(b.Lo) + 1
+	if w == 0 {
+		return int64(rng.Uint64())
+	}
+	return int64(uint64(b.Lo) + rng.Uint64N(w))
 }
 
 // SampleGaussian draws a raw value from bin c under a Gaussian

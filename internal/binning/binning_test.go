@@ -1,9 +1,12 @@
 package binning
 
 import (
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/netdpsyn/netdpsyn/internal/datagen"
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
@@ -21,11 +24,7 @@ func smallFlowTable(t *testing.T, rows int) *dataset.Table {
 
 func TestBuildEncodeRoundTrip(t *testing.T) {
 	tab := smallFlowTable(t, 1200)
-	enc, err := Build(tab, DefaultConfig(), 0.05, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := enc.Encode(tab)
+	enc, encoded, err := Build(tab, DefaultConfig(), 0.05, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +53,31 @@ func TestBuildEncodeRoundTrip(t *testing.T) {
 
 func TestBuildEmptyTable(t *testing.T) {
 	s := dataset.MustSchema(dataset.Field{Name: "x", Kind: dataset.KindNumeric})
-	if _, err := Build(dataset.NewTable(s, 0), DefaultConfig(), 0.1, 1); err == nil {
+	if _, _, err := Build(dataset.NewTable(s, 0), DefaultConfig(), 0.1, 1); err == nil {
 		t.Fatal("empty table must error")
+	}
+}
+
+func TestBuildRejectsBadConfig(t *testing.T) {
+	tab := smallFlowTable(t, 50)
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.LogBinsPerUnit = 0 },
+		func(c *Config) { c.LogBinsPerUnit = -3 },
+		func(c *Config) { c.LogBinsPerUnit = math.Inf(1) },
+		func(c *Config) { c.LogBinsPerUnit = math.NaN() },
+		func(c *Config) { c.PortBinWidth = 0 },
+	} {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		if _, _, err := Build(tab, cfg, 0.1, 1); err == nil {
+			t.Errorf("config %+v: Build must error", cfg)
+		}
 	}
 }
 
 func TestDecodeSamplesWithinBins(t *testing.T) {
 	tab := smallFlowTable(t, 800)
-	enc, err := Build(tab, DefaultConfig(), 0.05, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := enc.Encode(tab)
+	enc, encoded, err := Build(tab, DefaultConfig(), 0.05, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +104,7 @@ func TestDecodeSamplesWithinBins(t *testing.T) {
 
 func TestDecodeConstraint(t *testing.T) {
 	tab := smallFlowTable(t, 800)
-	enc, err := Build(tab, DefaultConfig(), 0.05, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := enc.Encode(tab)
+	enc, encoded, err := Build(tab, DefaultConfig(), 0.05, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +125,10 @@ func TestDecodeConstraint(t *testing.T) {
 
 func TestPortBinsRespectLimit(t *testing.T) {
 	values := []int64{22, 53, 80, 1024, 1033, 5000, 65535}
-	bins := portBins(values, DefaultConfig())
+	bins, _, _, err := portBins(values, make([]int32, len(values)), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range bins {
 		if b.Hi > 65535 {
 			t.Fatalf("port bin exceeds 65535: %+v", b)
@@ -139,7 +150,7 @@ func TestPortBinsRespectLimit(t *testing.T) {
 }
 
 func TestLogBinsContiguousMonotone(t *testing.T) {
-	bins := logBins([]int64{0, 5, 123, 99999, 10_000_000}, 3)
+	bins := logBins(10_000_000, 3)
 	if bins[0].Lo != 0 {
 		t.Fatalf("first bin should start at 0: %+v", bins[0])
 	}
@@ -160,7 +171,7 @@ func TestLogBinsContiguousMonotone(t *testing.T) {
 func TestLogBinsCoverageProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		v := int64(raw % 10_000_000)
-		bins := logBins([]int64{v}, 3)
+		bins := logBins(v, 3)
 		// Some bin must contain v.
 		for _, b := range bins {
 			if b.Contains(v) {
@@ -309,11 +320,7 @@ func TestTimestampReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Build(aug, DefaultConfig(), 0.05, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := enc.Encode(aug)
+	enc, encoded, err := Build(aug, DefaultConfig(), 0.05, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +347,123 @@ func TestTimestampReconstruction(t *testing.T) {
 
 func TestDecodeShapeMismatch(t *testing.T) {
 	tab := smallFlowTable(t, 300)
-	enc, err := Build(tab, DefaultConfig(), 0.05, 31)
+	enc, _, err := Build(tab, DefaultConfig(), 0.05, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := dataset.NewEncoded([]string{"x"}, []int{2}, 5)
 	if _, err := enc.Decode(bad, DecodeOptions{}); err == nil {
 		t.Fatal("arity mismatch must error")
+	}
+}
+
+// buildWithin runs Build on tab and fails if it takes longer than a
+// second: the inputs below once made it panic, loop forever, or
+// allocate until the process died.
+func buildWithin(t *testing.T, tab *dataset.Table) (*Encoder, *dataset.Encoded, error) {
+	t.Helper()
+	type result struct {
+		enc     *Encoder
+		encoded *dataset.Encoded
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		enc, encoded, err := Build(tab, DefaultConfig(), 0.05, 3)
+		done <- result{enc, encoded, err}
+	}()
+	select {
+	case r := <-done:
+		return r.enc, r.encoded, r.err
+	case <-time.After(time.Second):
+		t.Fatal("Build did not return within a second")
+		return nil, nil, nil
+	}
+}
+
+// TestBuildRejectsOutOfRangePort: a port group above 65535 once became
+// a bin with Lo > Hi, and decoding it panicked.
+func TestBuildRejectsOutOfRangePort(t *testing.T) {
+	for _, port := range []int64{70000, 65536, -1} {
+		tab := smallFlowTable(t, 500)
+		col := tab.ColumnByName(trace.FieldDstPort)
+		for r := range col {
+			col[r] = port
+		}
+		if _, _, err := buildWithin(t, tab); err == nil || !strings.Contains(err.Error(), "outside 0–65535") {
+			t.Errorf("dstport %d: Build error %v, want an out-of-range port error", port, err)
+		}
+	}
+}
+
+// TestBuildExtremeValues: timestamps spanning the whole int64 range,
+// a timestamp at MaxInt64, and a numeric at MaxInt64 once overflowed
+// the bin arithmetic (out of memory, or a loop that never ended).
+// They now bin, every value encodes into a bin that contains it, and
+// decoding draws inside the bins.
+func TestBuildExtremeValues(t *testing.T) {
+	cases := []struct {
+		name  string
+		field string
+		vals  []int64
+	}{
+		{"ts across int64", trace.FieldTS, []int64{math.MinInt64 + 1, math.MaxInt64 - 1}},
+		{"ts at MaxInt64", trace.FieldTS, []int64{0, math.MaxInt64}},
+		{"ts full range", trace.FieldTS, []int64{math.MinInt64, math.MaxInt64}},
+		{"byt at MaxInt64", trace.FieldByt, []int64{math.MaxInt64}},
+		{"byt at 2^62", trace.FieldByt, []int64{1 << 62}},
+	}
+	for _, tc := range cases {
+		tab := smallFlowTable(t, 500)
+		ci := tab.Schema().Index(tc.field)
+		for i, v := range tc.vals {
+			tab.SetValue(i, ci, v)
+		}
+		enc, encoded, err := buildWithin(t, tab)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		attr := &enc.Attrs[ci]
+		for r, v := range tab.Column(ci) {
+			if b := attr.Bins[encoded.Cols[ci][r]]; !b.Contains(v) {
+				t.Fatalf("%s: row %d value %d encoded into [%d, %d]", tc.name, r, v, b.Lo, b.Hi)
+			}
+		}
+		out, err := enc.Decode(encoded, DecodeOptions{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		for r, v := range out.Column(ci) {
+			if b := attr.Bins[encoded.Cols[ci][r]]; !b.Contains(v) {
+				t.Fatalf("%s: row %d decoded %d outside [%d, %d]", tc.name, r, v, b.Lo, b.Hi)
+			}
+		}
+	}
+}
+
+// TestSampleWideBins: a bin wider than MaxInt64 values has no int64
+// width, and Sample once panicked on it. Narrower bins draw the same
+// values Int64N would.
+func TestSampleWideBins(t *testing.T) {
+	a := &Attr{Bins: []Bin{{0, math.MaxInt64}, {math.MinInt64, math.MaxInt64}, {-5, 1 << 40}, {10, 19}}}
+	rng := rand.New(rand.NewPCG(4, 4))
+	ref := rand.New(rand.NewPCG(4, 4))
+	for i := 0; i < 100; i++ {
+		for c, b := range a.Bins {
+			v := a.Sample(rng, int32(c))
+			if !b.Contains(v) {
+				t.Fatalf("bin %d: Sample = %d outside [%d, %d]", c, v, b.Lo, b.Hi)
+			}
+			switch c {
+			case 0:
+				ref.Uint64N(1 << 63)
+			case 1:
+				ref.Uint64()
+			default:
+				if want := b.Lo + ref.Int64N(b.Width()); v != want {
+					t.Fatalf("bin %d: Sample = %d, Int64N draw %d", c, v, want)
+				}
+			}
+		}
 	}
 }

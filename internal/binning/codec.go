@@ -3,13 +3,16 @@ package binning
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 )
 
 // Encode maps the table to its binned form. The table must have the
-// same schema the encoder was built from.
+// same schema the encoder was built from. Build already returns the
+// encoding of the table it binned; Encode is for other tables in the
+// same space.
 func (e *Encoder) Encode(t *dataset.Table) (*dataset.Encoded, error) {
 	if t.NumCols() != len(e.Attrs) {
 		return nil, fmt.Errorf("binning: table has %d columns, encoder has %d attrs", t.NumCols(), len(e.Attrs))
@@ -70,12 +73,17 @@ func (e *Encoder) Decode(enc *dataset.Encoded, opts DecodeOptions) (*dataset.Tab
 
 	tsIdx := enc.Index(opts.TSField)
 	diffIdx := enc.Index(opts.TSDiffField)
-	groupIdx := make(map[int]bool)
+	// tsGroup keys timestamp clusters in GroupBy order; group is the
+	// same columns in index order, each once, for the identifiers.
+	var tsGroup []int
 	for _, name := range opts.GroupBy {
 		if i := enc.Index(name); i >= 0 {
-			groupIdx[i] = true
+			tsGroup = append(tsGroup, i)
 		}
 	}
+	group := slices.Clone(tsGroup)
+	slices.Sort(group)
+	group = slices.Compact(group)
 
 	// Sample every non-timestamp, non-identifier column independently.
 	raw := make([][]int64, len(e.Attrs))
@@ -84,7 +92,7 @@ func (e *Encoder) Decode(enc *dataset.Encoded, opts DecodeOptions) (*dataset.Tab
 		if c == tsIdx && diffIdx >= 0 {
 			continue // reconstructed below
 		}
-		if groupIdx[c] {
+		if slices.Contains(group, c) {
 			continue // decoded cluster-consistently below
 		}
 		attr := &e.Attrs[c]
@@ -104,16 +112,24 @@ func (e *Encoder) Decode(enc *dataset.Encoded, opts DecodeOptions) (*dataset.Tab
 	// scatter a flow's packets across the bin's address range and
 	// destroy the flow-level structure (NetML representations, flow
 	// sizes, tsdiff groups).
-	if len(groupIdx) > 0 {
-		e.decodeClustered(enc, raw, groupIdx, rng)
+	var cl *clusters
+	if len(group) > 0 {
+		cl = clusterRows(enc, group)
+		e.decodeClustered(enc, raw, group, cl, rng)
 	}
 
 	// Timestamp reconstruction from tsdiff (§3.4): cluster encoded
 	// rows by identifier, order each cluster by timestamp bin, anchor
 	// the first record uniformly in its bin, then accumulate tsdiff.
+	// The identifier clusters serve unless GroupBy lists the columns
+	// in another order (or twice), which orders the clusters
+	// differently.
 	if tsIdx >= 0 {
 		if diffIdx >= 0 && len(opts.GroupBy) > 0 {
-			e.reconstructTS(enc, raw, tsIdx, diffIdx, opts.GroupBy, rng)
+			if cl == nil || !slices.Equal(tsGroup, group) {
+				cl = clusterRows(enc, tsGroup)
+			}
+			e.reconstructTS(enc, raw, tsIdx, diffIdx, cl, rng)
 		} else {
 			attr := &e.Attrs[tsIdx]
 			for r := 0; r < n; r++ {
@@ -135,72 +151,110 @@ func (e *Encoder) Decode(enc *dataset.Encoded, opts DecodeOptions) (*dataset.Tab
 		}
 	}
 
-	// Assemble the output table, optionally dropping the aux field.
+	// Assemble the output table from the sampled columns, optionally
+	// dropping the aux field.
 	fields := make([]dataset.Field, 0, len(e.Attrs))
-	cols := make([]int, 0, len(e.Attrs))
+	cols := make([][]int64, 0, len(e.Attrs))
+	dicts := make([]*dataset.Dict, 0, len(e.Attrs))
 	for c := range e.Attrs {
 		if opts.DropAux && c == diffIdx {
 			continue
 		}
 		fields = append(fields, e.Attrs[c].Field)
-		cols = append(cols, c)
+		cols = append(cols, raw[c])
+		dicts = append(dicts, e.dicts[c])
 	}
 	schema, err := dataset.NewSchema(fields...)
 	if err != nil {
 		return nil, err
 	}
-	out := dataset.NewTable(schema, n)
-	row := make([]int64, len(cols))
-	for r := 0; r < n; r++ {
-		for j, c := range cols {
-			row[j] = raw[c][r]
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
+	out, err := dataset.NewTableFromColumns(schema, cols)
+	if err != nil {
+		return nil, err
 	}
 	// Copy categorical dictionaries so string values round-trip.
-	for j, c := range cols {
-		if e.dicts[c] != nil {
-			out.SetDict(j, e.dicts[c].Clone())
+	for j, d := range dicts {
+		if d != nil {
+			out.SetDict(j, d.Clone())
 		}
 	}
 	return out, nil
 }
 
+// clusters is the grouping of an encoded table's rows by their codes
+// in a list of columns, for decoding.
+type clusters struct {
+	rows, start []int
+	// order lists the groups of rows/start by ascending key.
+	order []int32
+}
+
+// clusterRows groups enc's rows by their codes in the given columns
+// (the first 8 of them form the key) and orders the groups by key.
+func clusterRows(enc *dataset.Encoded, group []int) *clusters {
+	cols := make([][]int32, len(group))
+	for j, g := range group {
+		cols[j] = enc.Cols[g]
+	}
+	rows, start, keys := groupRows(cols, enc.NumRows())
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(keys[a][:], keys[b][:]) })
+	return &clusters{rows: rows, start: start, order: order}
+}
+
+// run returns the rows of the i-th cluster in key order.
+func (cl *clusters) run(i int) []int {
+	k := cl.order[i]
+	return cl.rows[cl.start[k]:cl.start[k+1]]
+}
+
+// groupRows groups n rows by their values in cols (the first 8
+// columns form the key; rows with equal keys share a group). rows
+// holds each group's row indices as one contiguous ascending run,
+// groups in order of first appearance: group k is
+// rows[start[k]:start[k+1]], with key keys[k].
+func groupRows[T int32 | int64](cols [][]T, n int) (rows, start []int, keys [][8]T) {
+	cols = cols[:min(len(cols), 8)]
+	ids := make(map[[8]T]int32)
+	gid := make([]int32, n)
+	var sizes []int
+	for r := 0; r < n; r++ {
+		var k [8]T
+		for j, col := range cols {
+			k[j] = col[r]
+		}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(keys))
+			ids[k] = id
+			keys = append(keys, k)
+			sizes = append(sizes, 0)
+		}
+		gid[r] = id
+		sizes[id]++
+	}
+	start = make([]int, len(keys)+1)
+	for k, size := range sizes {
+		start[k+1] = start[k] + size
+	}
+	next := sizes // reused as each group's write cursor
+	copy(next, start)
+	rows = make([]int, n)
+	for r, id := range gid {
+		rows[next[id]] = r
+		next[id]++
+	}
+	return rows, start, keys
+}
+
 // decodeClustered samples the identifier attributes once per encoded
-// cluster and assigns the values to every member row.
-func (e *Encoder) decodeClustered(enc *dataset.Encoded, raw [][]int64, groupIdx map[int]bool, rng *rand.Rand) {
-	group := make([]int, 0, len(groupIdx))
-	for i := range groupIdx {
-		group = append(group, i)
-	}
-	sort.Ints(group)
-	type key [8]int32
-	clusters := make(map[key][]int)
-	order := make([]key, 0)
-	for r := 0; r < enc.NumRows(); r++ {
-		var k key
-		for j, g := range group {
-			if j < len(k) {
-				k[j] = enc.Cols[g][r]
-			}
-		}
-		if _, seen := clusters[k]; !seen {
-			order = append(order, k)
-		}
-		clusters[k] = append(clusters[k], r)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		for i := range order[a] {
-			if order[a][i] != order[b][i] {
-				return order[a][i] < order[b][i]
-			}
-		}
-		return false
-	})
-	for _, k := range order {
-		rows := clusters[k]
+// cluster, in key order, and assigns the values to every member row.
+func (e *Encoder) decodeClustered(enc *dataset.Encoded, raw [][]int64, group []int, cl *clusters, rng *rand.Rand) {
+	for i := range cl.order {
+		rows := cl.run(i)
 		for _, g := range group {
 			attr := &e.Attrs[g]
 			v := attr.Sample(rng, enc.Cols[g][rows[0]])
@@ -212,48 +266,21 @@ func (e *Encoder) decodeClustered(enc *dataset.Encoded, raw [][]int64, groupIdx 
 }
 
 // reconstructTS rebuilds raw timestamps from tsdiff per identifier
-// cluster.
-func (e *Encoder) reconstructTS(enc *dataset.Encoded, raw [][]int64, tsIdx, diffIdx int, groupBy []string, rng *rand.Rand) {
-	group := make([]int, 0, len(groupBy))
-	for _, name := range groupBy {
-		if i := enc.Index(name); i >= 0 {
-			group = append(group, i)
-		}
-	}
-	type key [8]int32
-	clusters := make(map[key][]int)
-	for r := 0; r < enc.NumRows(); r++ {
-		var k key
-		for j, g := range group {
-			if j < len(k) {
-				k[j] = enc.Cols[g][r]
-			}
-		}
-		clusters[k] = append(clusters[k], r)
-	}
-	// Process clusters in a deterministic order: the sampling RNG is
-	// shared, so map-iteration order would make decoding
-	// non-reproducible.
-	keys := make([]key, 0, len(clusters))
-	for k := range clusters {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		for i := range keys[a] {
-			if keys[a][i] != keys[b][i] {
-				return keys[a][i] < keys[b][i]
-			}
-		}
-		return false
-	})
+// cluster, in key order: the sampling RNG is shared, so the order is
+// part of the output.
+func (e *Encoder) reconstructTS(enc *dataset.Encoded, raw [][]int64, tsIdx, diffIdx int, cl *clusters, rng *rand.Rand) {
 	tsAttr := &e.Attrs[tsIdx]
-	for _, k := range keys {
-		rows := clusters[k]
-		sort.Slice(rows, func(a, b int) bool {
-			return enc.Cols[tsIdx][rows[a]] < enc.Cols[tsIdx][rows[b]]
-		})
+	codes := enc.Cols[tsIdx]
+	for i := range cl.order {
+		rows := cl.run(i)
+		if len(rows) > 1 {
+			// sort.Slice is not stable: which of a cluster's tied rows
+			// comes first depends on its algorithm and on the rows
+			// arriving in ascending order, and the output with it.
+			sort.Slice(rows, func(a, b int) bool { return codes[rows[a]] < codes[rows[b]] })
+		}
 		first := rows[0]
-		cur := tsAttr.Sample(rng, enc.Cols[tsIdx][first])
+		cur := tsAttr.Sample(rng, codes[first])
 		raw[tsIdx][first] = cur
 		for _, r := range rows[1:] {
 			d := raw[diffIdx][r]
@@ -276,33 +303,32 @@ func AddTSDiff(t *dataset.Table, tsField, diffField string, groupBy []string) (*
 	if tsCol < 0 {
 		return nil, fmt.Errorf("binning: no timestamp field %q", tsField)
 	}
-	group := make([]int, 0, len(groupBy))
+	var cols [][]int64
 	for _, name := range groupBy {
 		if i := s.Index(name); i >= 0 {
-			group = append(group, i)
+			cols = append(cols, t.Column(i))
 		}
-	}
-	type key [8]int64
-	clusters := make(map[key][]int)
-	for r := 0; r < t.NumRows(); r++ {
-		var k key
-		for j, g := range group {
-			if j < len(k) {
-				k[j] = t.Value(r, g)
-			}
-		}
-		clusters[k] = append(clusters[k], r)
 	}
 	ts := t.Column(tsCol)
-	diff := make([]int64, t.NumRows())
-	for _, rows := range clusters {
-		sort.Slice(rows, func(a, b int) bool { return ts[rows[a]] < ts[rows[b]] })
-		for i := 1; i < len(rows); i++ {
-			d := ts[rows[i]] - ts[rows[i-1]]
+	rows, start, _ := groupRows(cols, len(ts))
+	// A cluster's rows arrive in ascending order, so in a ts-sorted
+	// table they are already in timestamp order. Otherwise each
+	// cluster is sorted the way it always was: sort.Slice orders tied
+	// timestamps by its own rule, and the first of a tie takes the
+	// gap to the previous timestamp.
+	sorted := slices.IsSorted(ts)
+	diff := make([]int64, len(ts))
+	for k := 0; k+1 < len(start); k++ {
+		run := rows[start[k]:start[k+1]]
+		if !sorted && len(run) > 1 {
+			sort.Slice(run, func(a, b int) bool { return ts[run[a]] < ts[run[b]] })
+		}
+		for i := 1; i < len(run); i++ {
+			d := ts[run[i]] - ts[run[i-1]]
 			if d < 0 {
-				d = 0
+				d = 0 // int64 overflow on extreme timestamps
 			}
-			diff[rows[i]] = d
+			diff[run[i]] = d
 		}
 	}
 	return t.WithColumn(dataset.Field{Name: diffField, Kind: dataset.KindNumeric}, diff)

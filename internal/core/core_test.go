@@ -318,6 +318,84 @@ func TestConditionalSampler(t *testing.T) {
 	}
 }
 
+// lowerBound is catSampler's search without the guide table: the
+// first index whose cdf is ≥ u, or the last index.
+func lowerBound(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return max(lo, 0)
+}
+
+// TestCatSamplerGuideMatchesSearch checks that the guide-table draw
+// picks the same index as the plain lower-bound search for the same u,
+// on random weights with zero runs, all-zero weights, and u at and
+// next to every bucket edge k/len and every cdf value.
+func TestCatSamplerGuideMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	check := func(s *catSampler) {
+		t.Helper()
+		n := len(s.cdf)
+		us := []float64{0, math.Nextafter(1, 0)}
+		for k := 0; k <= n; k++ {
+			e := float64(k) / float64(n)
+			us = append(us, e, math.Nextafter(e, 0), math.Nextafter(e, 1))
+		}
+		for _, c := range s.cdf {
+			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+		}
+		for i := 0; i < 200; i++ {
+			us = append(us, rng.Float64())
+		}
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue // outside Float64's range
+			}
+			if got, want := s.search(u), lowerBound(s.cdf, u); got != want {
+				t.Fatalf("cdf %v, u=%v: guide search %d, lower bound %d", s.cdf, u, got, want)
+			}
+		}
+	}
+	check(newCatSampler(nil))
+	check(newCatSampler([]float64{0}))
+	check(newCatSampler([]float64{3}))
+	// A cdf value one ulp below a bucket edge k/len: for u equal to
+	// it, u·len can round up to k, past the answer's bucket.
+	for n := 3; n <= 64; n++ {
+		for k := 1; k < n; k++ {
+			cdf := make([]float64, n)
+			for i := range cdf {
+				cdf[i] = float64(i+1) / float64(n)
+			}
+			cdf[k-1] = math.Nextafter(cdf[k-1], 0)
+			check(&catSampler{cdf: cdf, guide: guideTable(cdf)})
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.IntN(60)
+		w := make([]float64, n)
+		allZero := trial%10 == 0
+		for i := range w {
+			switch {
+			case allZero:
+			case rng.IntN(3) == 0:
+				w[i] = 0
+			case rng.IntN(5) == 0:
+				w[i] = -rng.Float64() // negative weights count as zero
+			default:
+				w[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.IntN(7)-3))
+			}
+		}
+		check(newCatSampler(w))
+	}
+}
+
 func TestCellsOf(t *testing.T) {
 	if c := cellsOf([]int{2, 3, 4}, []int{0, 2}); c != 8 {
 		t.Errorf("cellsOf = %v, want 8", c)

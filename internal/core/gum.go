@@ -753,10 +753,15 @@ func InitGUMMI(names []string, domains []int, oneWay, published []*marginal.Marg
 	return ds, nil
 }
 
-// catSampler draws from a non-negative weight vector via CDF binary
-// search.
+// catSampler draws from a non-negative weight vector: the first index
+// whose CDF value reaches a uniform u (the last index if none does).
+// A guide table narrows each draw's binary search to the indices
+// whose CDF values fall in u's 1/len-wide bucket, a few on average.
 type catSampler struct {
 	cdf []float64
+	// guide[k] is the first index whose cdf is ≥ k/len (len−1 if
+	// none); guide[len] is len−1.
+	guide []int32
 }
 
 func newCatSampler(weights []float64) *catSampler {
@@ -772,19 +777,51 @@ func newCatSampler(weights []float64) *catSampler {
 		for i := range cdf {
 			cdf[i] = float64(i+1) / float64(len(cdf))
 		}
-		return &catSampler{cdf: cdf}
+	} else {
+		for i := range cdf {
+			cdf[i] /= total
+		}
 	}
-	for i := range cdf {
-		cdf[i] /= total
+	return &catSampler{cdf: cdf, guide: guideTable(cdf)}
+}
+
+// guideTable returns catSampler.guide for a non-decreasing cdf.
+func guideTable(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n+1)
+	i := 0
+	for k := 0; k < n; k++ {
+		for i < n-1 && cdf[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = int32(i)
 	}
-	return &catSampler{cdf: cdf}
+	guide[n] = int32(max(n-1, 0))
+	return guide
 }
 
 func (s *catSampler) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, len(s.cdf)-1
+	return s.search(rng.Float64())
+}
+
+// search returns the first index whose cdf is ≥ u, or the last index.
+// Every index before guide[k] has cdf < k/len ≤ u, and guide[k+1] has
+// cdf ≥ (k+1)/len > u (or is the last index), so the answer lies in
+// [guide[k], guide[k+1]].
+func (s *catSampler) search(u float64) int {
+	n := len(s.cdf)
+	if n == 0 {
+		return 0
+	}
+	k := min(int(u*float64(n)), n-1)
+	// The product can round up past u's bucket; step back so that
+	// k/len ≤ u holds as computed.
+	for k > 0 && float64(k)/float64(n) > u {
+		k--
+	}
+	lo, hi := int(s.guide[k]), int(s.guide[k+1])
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if s.cdf[mid] < u {
 			lo = mid + 1
 		} else {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"github.com/netdpsyn/netdpsyn/internal/binning"
@@ -343,11 +342,7 @@ func (p *Pipeline) stagePreprocess(eng *engine, st *synthState) error {
 		}
 		binCfg.MaxBinsPerAttr = adaptive
 	}
-	enc, err := binning.Build(work, binCfg, st.parts[0], cfg.Seed^0xb1)
-	if err != nil {
-		return err
-	}
-	encoded, err := enc.Encode(work)
+	enc, encoded, err := binning.Build(work, binCfg, st.parts[0], cfg.Seed^0xb1)
 	if err != nil {
 		return err
 	}
@@ -364,16 +359,19 @@ func (p *Pipeline) stagePreprocess(eng *engine, st *synthState) error {
 
 // stageSelect is step 3: DP pair scores and DenseMarg selection. The
 // per-pair InDif computation — quadratic in attributes, linear in
-// records — fans out over the pool.
+// records — fans out over the pool; the 1-way counts every pair needs
+// are tallied once, and each worker reuses one 2-way tally buffer.
 func (p *Pipeline) stageSelect(eng *engine, st *synthState) error {
 	cfg := p.cfg
 	if err := st.acct.Spend(st.parts[1]); err != nil {
 		return err
 	}
 	scores := marginal.NewPairScores(st.encoded.NumAttrs())
-	eng.parallelFor(len(scores.Pairs), func(i int) {
+	scorer := marginal.NewInDifScorer(st.encoded)
+	tallies := make([][]int32, eng.workers)
+	eng.parallelForWorker(len(scores.Pairs), func(w, i int) {
 		p := scores.Pairs[i]
-		scores.Scores[i] = marginal.InDif(st.encoded, p[0], p[1])
+		scores.Scores[i], tallies[w] = scorer.Score(p[0], p[1], tallies[w])
 	})
 	if err := scores.Perturb(st.parts[1], cfg.Seed^0xb2); err != nil {
 		return err
@@ -632,16 +630,4 @@ func protocolRules(t *dataset.Table, enc *binning.Encoder, tau float64) []margin
 		})
 	}
 	return rules
-}
-
-// SortedAttrNames is a helper for diagnostics: the names of an
-// attribute set in schema order.
-func SortedAttrNames(e *dataset.Encoded, attrs []int) []string {
-	s := append([]int(nil), attrs...)
-	sort.Ints(s)
-	names := make([]string, len(s))
-	for i, a := range s {
-		names[i] = e.Names[a]
-	}
-	return names
 }

@@ -28,7 +28,7 @@ type Kind int
 // distinguishes IPs, ports, categorical, numeric, and timestamps).
 const (
 	KindIP          Kind = iota // IPv4 address stored as uint32
-	KindPort                    // transport port, 0..65535
+	KindPort                    // transport port, 0..MaxPort
 	KindCategorical             // small-domain categorical (proto, flags, label)
 	KindNumeric                 // counter or duration (pkt, byt, td, pkt_len)
 	KindTimestamp               // capture timestamp in milliseconds
@@ -51,6 +51,9 @@ func (k Kind) String() string {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
+
+// MaxPort is the largest transport port number.
+const MaxPort = 65535
 
 // Field describes one column of a trace table.
 type Field struct {
@@ -228,6 +231,28 @@ func NewTable(schema *Schema, n int) *Table {
 	return t
 }
 
+// NewTableFromColumns creates a table that takes ownership of cols,
+// one equal-length column per schema field. Categorical fields start
+// with an empty dictionary, as in NewTable.
+func NewTableFromColumns(schema *Schema, cols [][]int64) (*Table, error) {
+	if len(cols) != schema.NumFields() {
+		return nil, fmt.Errorf("%w: %d columns, schema width %d", ErrSchemaMismatch, len(cols), schema.NumFields())
+	}
+	for i, col := range cols {
+		if len(col) != len(cols[0]) {
+			return nil, fmt.Errorf("%w: column %q has %d rows, column %q has %d",
+				ErrSchemaMismatch, schema.Fields[i].Name, len(col), schema.Fields[0].Name, len(cols[0]))
+		}
+	}
+	t := &Table{schema: schema, cols: cols, dicts: make([]*Dict, len(cols))}
+	for i, f := range schema.Fields {
+		if f.Kind == KindCategorical {
+			t.dicts[i] = NewDict()
+		}
+	}
+	return t, nil
+}
+
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
@@ -345,6 +370,23 @@ func (t *Table) AppendRows(src *Table, rows []int) error {
 		t.cols[c] = dst
 	}
 	return nil
+}
+
+// BadPort finds the first value of a port field outside 0–MaxPort,
+// scanning fields in schema order. It returns the value's row and
+// column, and ok false when every port is valid.
+func (t *Table) BadPort() (row, col int, ok bool) {
+	for c, f := range t.schema.Fields {
+		if f.Kind != KindPort {
+			continue
+		}
+		for r, v := range t.cols[c] {
+			if v < 0 || v > MaxPort {
+				return r, c, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // Column returns the raw column at index i. The slice is shared; do

@@ -206,6 +206,31 @@ func TestWithColumn(t *testing.T) {
 	}
 }
 
+func TestNewTableFromColumns(t *testing.T) {
+	s := testSchema(t)
+	cols := [][]int64{{1, 5}, {2, 6}, {0, 0}, {4, 8}, {0, 0}}
+	tab, err := NewTableFromColumns(s, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.NumRows() != 2 || tab.Value(1, 3) != 8 {
+		t.Fatalf("table = %dx%d, Value(1,3) = %d", tab.NumRows(), tab.NumCols(), tab.Value(1, 3))
+	}
+	if &tab.Column(1)[0] != &cols[1][0] {
+		t.Error("columns must be taken over, not copied")
+	}
+	if tab.Dict(2) == nil || tab.Dict(0) != nil {
+		t.Error("categorical fields need an empty dictionary, others none")
+	}
+	if _, err := NewTableFromColumns(s, cols[:4]); err == nil {
+		t.Error("missing column must error")
+	}
+	cols[3] = cols[3][:1]
+	if _, err := NewTableFromColumns(s, cols); err == nil {
+		t.Error("ragged columns must error")
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	s := testSchema(t)
 	tab := NewTable(s, 2)

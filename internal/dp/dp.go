@@ -166,11 +166,6 @@ func NewGaussian(delta2, rho float64, seed uint64) (*Gaussian, error) {
 	return &Gaussian{Sigma: sigma, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}, nil
 }
 
-// NewGaussianSigma creates a Gaussian mechanism with an explicit σ.
-func NewGaussianSigma(sigma float64, seed uint64) *Gaussian {
-	return &Gaussian{Sigma: sigma, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
-}
-
 // Perturb adds N(0, σ²) noise to every element of xs in place and
 // returns xs.
 func (g *Gaussian) Perturb(xs []float64) []float64 {

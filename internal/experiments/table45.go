@@ -26,11 +26,7 @@ func Table4(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	enc, err := binning.Build(raw, binning.DefaultConfig(), 0.1*rho, r.Scale.Seed)
-	if err != nil {
-		return "", err
-	}
-	encoded, err := enc.Encode(raw)
+	enc, encoded, err := binning.Build(raw, binning.DefaultConfig(), 0.1*rho, r.Scale.Seed)
 	if err != nil {
 		return "", err
 	}

@@ -2,6 +2,7 @@ package marginal
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -229,14 +230,74 @@ func TestL1(t *testing.T) {
 
 func TestInDifIndependentVsCorrelated(t *testing.T) {
 	// Correlated pair (a, b): b == a for most rows.
-	e := tinyEncoded()
-	corr := InDif(e, 0, 1)
-	indep := InDif(e, 0, 2) // c alternates independently of a
+	s := NewInDifScorer(tinyEncoded())
+	corr, tally := s.Score(0, 1, nil)
+	indep, _ := s.Score(0, 2, tally) // c alternates independently of a
 	if corr <= indep {
 		t.Errorf("InDif(corr)=%v should exceed InDif(indep)=%v", corr, indep)
 	}
 	if indep < 0 {
 		t.Errorf("InDif negative: %v", indep)
+	}
+}
+
+// inDifFromCompute is the InDif formula on Compute's float64 tallies,
+// one set of three per pair: the oracle InDifScorer must match.
+func inDifFromCompute(e *dataset.Encoded, a, b int) float64 {
+	n := float64(e.NumRows())
+	if n == 0 {
+		return 0
+	}
+	ma := Compute(e, []int{a})
+	mb := Compute(e, []int{b})
+	mab := Compute(e, []int{a, b})
+	da, db := ma.Domains[0], mb.Domains[0]
+	var dist float64
+	for i := 0; i < da; i++ {
+		for j := 0; j < db; j++ {
+			expected := ma.Counts[i] * mb.Counts[j] / n
+			dist += math.Abs(mab.Counts[i*db+j] - expected)
+		}
+	}
+	return dist
+}
+
+// TestInDifScorerMatchesCompute checks the shared-tally scores bit for
+// bit against the per-pair Compute formula on random encoded tables,
+// reusing one tally buffer across pairs of different shapes.
+func TestInDifScorerMatchesCompute(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for trial := 0; trial < 40; trial++ {
+		d := 2 + rng.IntN(5)
+		rows := rng.IntN(400)
+		names := make([]string, d)
+		domains := make([]int, d)
+		for a := range domains {
+			names[a] = string(rune('a' + a))
+			domains[a] = 1 + rng.IntN(40)
+		}
+		e := dataset.NewEncoded(names, domains, rows)
+		for a, col := range e.Cols {
+			skew := 1 + rng.IntN(3) // some columns pile onto low codes
+			for r := range col {
+				c := rng.IntN(domains[a])
+				for k := 1; k < skew; k++ {
+					c = min(c, rng.IntN(domains[a]))
+				}
+				col[r] = int32(c)
+			}
+		}
+		s := NewInDifScorer(e)
+		var tally []int32
+		for a := 0; a < d; a++ {
+			for b := a + 1; b < d; b++ {
+				var got float64
+				got, tally = s.Score(a, b, tally)
+				if want := inDifFromCompute(e, a, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d pair (%d,%d): score %v, Compute formula %v", trial, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

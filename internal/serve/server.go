@@ -400,6 +400,19 @@ func uploadErr(err error) (int, string) {
 	return 0, ""
 }
 
+// badPort describes an upload's first port value outside 0–65535.
+// Synthesis rejects such a trace, and a release must fail before its
+// charge, not after, so uploads refuse it. (Streaming registrations
+// get the same check from ScanCSV.) Spools are not re-checked at
+// restore: a dataset registered before the check keeps its ledger.
+func badPort(t *netdpsyn.Table) (string, bool) {
+	r, c, bad := t.BadPort()
+	if !bad {
+		return "", false
+	}
+	return fmt.Sprintf("row %d: %s %d outside 0–65535", r+1, t.Schema().Fields[c].Name, t.Value(r, c)), true
+}
+
 // schemaFor resolves the schema named by a dataset's kind/label pair
 // (normalizing the label the same way for registration and recovery).
 func schemaFor(kind, label string) (*netdpsyn.Schema, string, error) {
@@ -559,6 +572,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			writeErr(w, http.StatusBadRequest, "load CSV: %v", err)
+			return
+		}
+		if msg, bad := badPort(table); bad {
+			writeErr(w, http.StatusBadRequest, "%s", msg)
 			return
 		}
 		rows = table.NumRows()
@@ -785,6 +802,10 @@ func (s *Server) handleWindowPut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeErr(w, http.StatusBadRequest, "load window CSV: %v", err)
+		return
+	}
+	if msg, bad := badPort(table); bad {
+		writeErr(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	if table.NumRows() == 0 {

@@ -483,7 +483,8 @@ func (s *Synthesizer) synthesizeSource(src core.WindowSource, emit func(WindowRe
 
 // ScanCSV validates a CSV trace for streaming synthesis without
 // materializing it: the header must cover the schema, every row must
-// decode, and the "ts" field must be non-decreasing (streaming
+// decode, every port field must lie in 0–65535 (synthesis rejects
+// other ports), and the "ts" field must be non-decreasing (streaming
 // windows are cut in stream order, so an unsorted trace would not
 // yield time-contiguous partitions). It returns the record count and
 // reads the input exactly once, in bounded memory.
@@ -508,6 +509,9 @@ func ScanCSV(r io.Reader, schema *Schema) (rows int, err error) {
 			return rows, nil
 		} else if err != nil {
 			return 0, err
+		}
+		if r, c, bad := b.BadPort(); bad {
+			return 0, fmt.Errorf("netdpsyn: row %d: %s %d outside 0–%d", rows+r+1, schema.Fields[c].Name, b.Value(r, c), dataset.MaxPort)
 		}
 		col := b.Column(tsIdx)
 		for i, ts := range col {

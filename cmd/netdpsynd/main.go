@@ -1,7 +1,7 @@
 // Command netdpsynd is the long-lived NetDPSyn synthesis service: it
-// keeps registered trace datasets and warm pipelines in memory,
-// meters cumulative zCDP spend per dataset against a ceiling, and
-// runs synthesis requests through an async job queue.
+// keeps registered trace datasets in memory, meters cumulative zCDP
+// spend per dataset against a ceiling, and runs synthesis requests
+// through an async job queue.
 //
 // Usage:
 //

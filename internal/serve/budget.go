@@ -1,9 +1,9 @@
 // Package serve is the long-lived DP synthesis service behind the
-// netdpsynd daemon. It keeps registered trace tables and warm
-// synthesis pipelines pooled per dataset, tracks cumulative zCDP
-// spend per dataset against a configured ceiling, and runs synthesis
-// requests through an async job queue whose engine workers are
-// bounded by one global budget shared across concurrent jobs.
+// netdpsynd daemon. It keeps registered trace tables, tracks
+// cumulative zCDP spend per dataset against a configured ceiling, and
+// runs synthesis requests through an async job queue whose engine
+// workers are bounded by one global budget shared across concurrent
+// jobs.
 //
 // The privacy argument: every synthesis release from the same trace
 // composes — zCDP additively — so a service that answers repeated

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
@@ -201,38 +198,8 @@ func (q *Queue) SubmitEvaluation(d *Dataset, target *Job, req EvaluationRequest)
 	if q.closed {
 		return nil, ErrQueueClosed
 	}
-	if q.backlog >= q.maxBacklog {
-		return nil, ErrQueueFull
-	}
-	id := fmt.Sprintf("job-%d", q.next+1)
-	now := time.Now()
-	var rec *persist.EvalChargeRecord
-	if q.store != nil {
-		rec = &persist.EvalChargeRecord{
-			JobID:     id,
-			DatasetID: d.ID,
-			TargetJob: target.ID,
-			Rho:       rho,
-			Metrics:   req.Metrics,
-			Models:    req.Models,
-			Epsilon:   req.Epsilon,
-			Delta:     req.Delta,
-			Seed:      req.Seed,
-			Submitted: now,
-		}
-	}
-	// Charge-before-compute, same as synthesis: the journal fsync
-	// happens inside ChargeEval before the spend is applied, and the
-	// record is written even at ρ 0 so the job itself replays across a
-	// restart. On failure nothing was charged and the id is unused.
-	if err := d.Budget().ChargeEval(rho, rec); err != nil {
-		return nil, err
-	}
-	q.next++
 	j := &Job{
-		ID:          id,
 		DatasetID:   d.ID,
-		Submitted:   now,
 		Rho:         rho,
 		Evaluate:    true,
 		TargetJobID: target.ID,
@@ -242,25 +209,32 @@ func (q *Queue) SubmitEvaluation(d *Dataset, target *Job, req EvaluationRequest)
 			Delta:   req.Delta,
 			Seed:    req.Seed,
 		},
-		cacheKey: "eval|" + id, // unique on purpose: evaluations never cache-hit
-		state:    JobQueued,
-		done:     make(chan struct{}),
 	}
-	q.jobsMu.Lock()
-	q.jobs[j.ID] = j
-	q.jobsMu.Unlock()
-	q.order = append(q.order, j)
-	q.sweepJobs()
-	q.backlog++
-	q.pending <- j
-	q.metrics.jobsAdmitted.Inc()
-	q.log.LogAttrs(context.Background(), slog.LevelInfo, "evaluation admitted",
-		slog.String("job", j.ID),
-		slog.String("dataset", d.ID),
-		slog.String("target", target.ID),
-		slog.Float64("rho", rho),
-		slog.Any("metrics", req.Metrics),
-	)
+	// Charge-before-compute, same as synthesis: the journal fsync
+	// happens inside ChargeEval before the spend is applied, and the
+	// record is written even at ρ 0 so the job itself replays across a
+	// restart.
+	err := q.admitLocked(j, func() error {
+		var rec *persist.EvalChargeRecord
+		if q.store != nil {
+			rec = &persist.EvalChargeRecord{
+				JobID:     j.ID,
+				DatasetID: d.ID,
+				TargetJob: target.ID,
+				Rho:       rho,
+				Metrics:   req.Metrics,
+				Models:    req.Models,
+				Epsilon:   req.Epsilon,
+				Delta:     req.Delta,
+				Seed:      req.Seed,
+				Submitted: j.Submitted,
+			}
+		}
+		return d.Budget().ChargeEval(rho, rec)
+	}, slog.String("target", target.ID), slog.Any("metrics", req.Metrics))
+	if err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 
@@ -307,11 +281,10 @@ func (q *Queue) runEvaluate(j *Job, d *Dataset) {
 		}
 	}
 	j.mu.Lock()
-	j.records = synth.NumRows()
 	j.evaluation = res
 	j.mu.Unlock()
 	q.metrics.recordEval(d.ID, res, time.Since(start))
-	q.finishEvalDone(j, res)
+	q.finishDone(j, synth.NumRows())
 }
 
 // loadReleasedTable materializes the target job's released CSV: the
@@ -325,8 +298,8 @@ func (q *Queue) loadReleasedTable(targetID string, d *Dataset) (*netdpsyn.Table,
 	if target.State() != JobDone {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrEvalTargetNotDone, targetID, target.State())
 	}
-	if res, ok := target.Result(); ok {
-		return res.Table, nil
+	if t, ok := target.Result(); ok {
+		return t, nil
 	}
 	rs := target.Spool()
 	if rs == nil || !rs.servable() {
@@ -527,99 +500,4 @@ func windowQuality(prev, cur *netdpsyn.MarginalCounts) *WindowQuality {
 		}
 	}
 	return wq
-}
-
-// finishEvalDone is finishDone for evaluation jobs: same terminal
-// transition, but the journaled record carries the marshaled
-// evaluation block so a restarted daemon serves the scores without
-// re-reading the raw trace.
-func (q *Queue) finishEvalDone(j *Job, res *EvaluationResult) {
-	j.mu.Lock()
-	j.state = JobDone
-	j.finished = time.Now()
-	done := j.done
-	records := j.records
-	j.mu.Unlock()
-	if q.store != nil {
-		blob, err := json.Marshal(res)
-		if err != nil {
-			blob = nil
-		}
-		_ = q.store.AppendTerminal(persist.TerminalRecord{
-			JobID:      j.ID,
-			State:      string(JobDone),
-			Records:    records,
-			Evaluation: blob,
-		})
-	}
-	close(done)
-	q.log.LogAttrs(context.Background(), slog.LevelInfo, "evaluation done",
-		slog.String("job", j.ID),
-		slog.String("dataset", j.DatasetID),
-		slog.String("target", res.TargetJob),
-		slog.Float64("rho", res.RhoCharged),
-	)
-}
-
-// restoreEvalJob installs one recovered evaluation job: done jobs
-// come back with their journaled evaluation block (served without
-// re-reading the raw trace), failed jobs keep their error, and
-// admitted-but-unfinished ones become charged failures — the
-// EvalChargeRecord was fsync'd before the job ran, so the spend
-// replays either way and is never refunded. Evaluations are never
-// cached, so no cache entry is restored. Caller holds q.mu.
-func (q *Queue) restoreEvalJob(js *persist.JobState, info *RecoveryInfo) {
-	ec := js.Eval
-	j := &Job{
-		ID:          js.JobID,
-		DatasetID:   js.DatasetID,
-		Submitted:   js.Submitted,
-		Rho:         js.Rho,
-		Evaluate:    true,
-		TargetJobID: ec.TargetJob,
-		evalReq: EvaluationRequest{
-			JobID:   ec.TargetJob,
-			Metrics: ec.Metrics,
-			Models:  ec.Models,
-			Epsilon: ec.Epsilon,
-			Delta:   ec.Delta,
-			Seed:    ec.Seed,
-		},
-		cfg:      netdpsyn.Config{Epsilon: ec.Epsilon, Delta: ec.Delta, Seed: ec.Seed},
-		cacheKey: "eval|" + js.JobID,
-		done:     make(chan struct{}),
-	}
-	switch js.State {
-	case string(JobDone):
-		close(j.done)
-		j.state = JobDone
-		j.records = js.Records
-		if len(js.Evaluation) > 0 {
-			var res EvaluationResult
-			if err := json.Unmarshal(js.Evaluation, &res); err == nil {
-				j.evaluation = &res
-			}
-		}
-	case string(JobFailed):
-		close(j.done)
-		j.state = JobFailed
-		j.errMsg = js.Error
-	default:
-		// Admitted (charged, durably) but no terminal: a charged
-		// failure, never a silent re-run — the raw pass may have
-		// partially happened before the crash.
-		close(j.done)
-		j.state = JobFailed
-		j.errMsg = interruptedJobError
-		info.InterruptedJobs++
-		q.journalTerminal(j.ID, string(JobFailed), 0, j.errMsg)
-	}
-	if n, err := strconv.Atoi(strings.TrimPrefix(j.ID, "job-")); err == nil && n > q.next {
-		q.next = n
-	}
-	q.jobsMu.Lock()
-	q.jobs[j.ID] = j
-	q.jobsMu.Unlock()
-	q.order = append(q.order, j)
-	info.Jobs++
 }

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -85,24 +88,23 @@ type Job struct {
 	started, finished time.Time
 	records           int
 	windowsDone       int
-	// charged is the set of window keys this job has charged (span and
-	// follow jobs), in the order charged. A resumed or resurrected job
-	// skips re-charging them: re-releasing the same bucket from the
-	// same records and seed is the identical deterministic
-	// computation, so it releases nothing new.
-	charged      map[int64]bool
-	chargedOrder []int64
-	// chargedRho records the ρ this job charged per bucket (0 for
-	// buckets inherited from a recovered charge record — the spend is
-	// on the ledger, but this run paid nothing new). It feeds the
-	// per-window ρ of the job trace.
-	chargedRho map[int64]float64
+	// charged maps each window key this job has paid for — a span or
+	// follow window's bucket, or 0 for a plain job's admission — to the
+	// ρ the current run charged for it. A resumed or resurrected job
+	// keeps the keys and skips re-charging them (re-releasing the same
+	// bucket from the same records and seed is the identical
+	// deterministic computation, so it releases nothing new), and its
+	// values read 0: the spend is on the ledger, but this run paid
+	// nothing new. The values feed the job trace's rho_charged.
+	charged map[int64]float64
 	// trace is the job's ordered execution trace: one entry per
 	// released window (plain jobs: one whole-trace entry), each with
 	// its stage spans. Appended as windows complete, so GET /jobs/{id}
 	// shows the trace growing while the job runs.
-	trace  []WindowTrace
-	result *netdpsyn.Result // nil once evicted from the retention window
+	trace []WindowTrace
+	// result is a plain job's synthesized table, kept in memory; nil
+	// for windowed jobs and once evicted from the retention window.
+	result *netdpsyn.Table
 	stages map[string]StageMS
 	// evaluation holds a finished evaluation job's scores.
 	evaluation *EvaluationResult
@@ -129,14 +131,9 @@ func (j *Job) Done() <-chan struct{} {
 // lost), so an identical request can regenerate it. Re-running a
 // fixed deterministic (Config, Seed) computation releases no new
 // information, so this costs no budget. Reports whether the job was
-// in the done-but-unservable state.
+// in the done-but-unservable state. Only cache hits reach it, so
+// never an evaluation: re-running one would be a fresh raw-data pass.
 func (j *Job) resurrect() bool {
-	if j.Evaluate {
-		// An evaluation is not a deterministic regeneration of a cached
-		// artifact: re-running it is a fresh raw-data pass with a fresh
-		// charge, so it is never resurrected (and never cached).
-		return false
-	}
 	if j.Follow {
 		// A follow job's input was a live feed epoch, which may have
 		// been superseded since; re-running it is not guaranteed to be
@@ -156,7 +153,10 @@ func (j *Job) resurrect() bool {
 	j.started, j.finished = time.Time{}, time.Time{}
 	j.windowsDone = 0
 	j.stages = nil // the re-run re-accumulates; keeping them would double-count
-	j.trace = nil  // ditto (chargedRho survives: the re-run pays nothing new)
+	j.trace = nil  // ditto
+	for b := range j.charged {
+		j.charged[b] = 0 // the keys stay paid for; the re-run pays nothing new
+	}
 	j.spool = nil
 	j.done = make(chan struct{})
 	return true
@@ -169,10 +169,10 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// Result returns the synthesis output, or false while the job is not
-// successfully finished (or its result has been evicted from the
-// retention window).
-func (j *Job) Result() (*netdpsyn.Result, bool) {
+// Result returns a plain job's synthesized table, or false while the
+// job is not successfully finished (or its result has been evicted
+// from the retention window, or lives only in its spool).
+func (j *Job) Result() (*netdpsyn.Table, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobDone || j.result == nil {
@@ -200,10 +200,11 @@ type SpanMS struct {
 
 // WindowTrace is one entry of a job's execution trace: one released
 // window (or, for plain jobs, the single whole-trace run), with the
-// ordered stage spans of its pipeline and the ρ the job charged for
+// ordered stage spans of its pipeline and the ρ this run charged for
 // it. RhoCharged is 0 for windows whose charge was inherited — a
-// resumed or resurrected job re-releasing a bucket it already paid
-// for, where the deterministic re-run releases nothing new.
+// resumed or resurrected job re-releasing a bucket (or a plain job
+// re-releasing the trace) it already paid for, where the
+// deterministic re-run releases nothing new.
 type WindowTrace struct {
 	// Window is the 0-based emission ordinal; Bucket is the absolute
 	// time bucket for span/follow windows (absent otherwise).
@@ -367,7 +368,7 @@ func (j *Job) emptyBucketsLocked() []int64 {
 	}
 	var empty []int64
 	for b := *j.bucketLo; b <= *j.bucketHi; b++ {
-		if !j.charged[b] {
+		if _, ok := j.charged[b]; !ok {
 			empty = append(empty, b)
 		}
 	}
@@ -380,13 +381,10 @@ func (j *Job) markCharged(bucket int64, rho float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.charged == nil {
-		j.charged = make(map[int64]bool)
-		j.chargedRho = make(map[int64]float64)
+		j.charged = make(map[int64]float64)
 	}
-	if !j.charged[bucket] {
-		j.charged[bucket] = true
-		j.chargedRho[bucket] = rho
-		j.chargedOrder = append(j.chargedOrder, bucket)
+	if _, ok := j.charged[bucket]; !ok {
+		j.charged[bucket] = rho
 	}
 }
 
@@ -395,7 +393,8 @@ func (j *Job) markCharged(bucket int64, rho float64) {
 func (j *Job) alreadyCharged(bucket int64) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.charged[bucket]
+	_, ok := j.charged[bucket]
+	return ok
 }
 
 // setStages renders per-stage timings for the JSON snapshot,
@@ -675,6 +674,19 @@ func (q *Queue) sweepExpired(cutoff time.Time) {
 	}
 }
 
+// trimRetainedLocked evicts the oldest retained results past
+// maxResults. Caller holds q.mu.
+func (q *Queue) trimRetainedLocked() {
+	for len(q.retained) > q.maxResults {
+		old := q.retained[0]
+		q.retained[0] = nil
+		q.retained = q.retained[1:]
+		old.mu.Lock()
+		evictResultLocked(old)
+		old.mu.Unlock()
+	}
+}
+
 // evictResultLocked drops a done job's result from every backend: the
 // in-memory table, a memory spool's buffer, and a file spool's
 // results/ file. The job's metadata and cache entry survive, so
@@ -715,7 +727,22 @@ type SubmitRequest struct {
 // same Config against a later epoch consumes different records and is
 // a new release.
 func jobCacheKey(datasetID string, cfg netdpsyn.Config, span int64, follow bool, epoch int) string {
-	return fmt.Sprintf("%s|%s|span=%d|follow=%t|epoch=%d", datasetID, configKey(cfg, false), span, follow, epoch)
+	return fmt.Sprintf("%s|%s|span=%d|follow=%t|epoch=%d", datasetID, configKey(cfg), span, follow, epoch)
+}
+
+// admissionPrice is what Submit charges for a synthesis release at
+// cfg: rho is one release's ρ, and admit the part of it charged on
+// the scalar axis at admission — all of it for a whole-trace release,
+// 0 for span and follow jobs, whose windows charge rho to their own
+// keys as they are released (see Submit). Recovery compares admit with
+// a journaled admission's ρ to decide whether the job may be served
+// from the result cache (see restoreJobs).
+func admissionPrice(cfg netdpsyn.Config, span int64, follow bool) (rho, admit float64, err error) {
+	rho, err = netdpsyn.RhoFromEpsDelta(cfg.Epsilon, cfg.Delta)
+	if err != nil || span > 0 || follow {
+		return rho, 0, err
+	}
+	return rho, rho, nil
 }
 
 // Submit admits a synthesis request against a dataset: it validates
@@ -832,19 +859,14 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 		cfg.KeyAttr = d.labelField()
 	}
 	cfg.Workers = q.perJob
-	// Wire the engine instruments before the warm call below: the pool
-	// bakes the config at construction, so a synthesizer built without
-	// the hook would never report stage timings. Excluded from the
-	// cache/journal identity (json:"-", and configKey skips it).
+	// Wire the engine instruments into the job's config; they are
+	// excluded from the cache/journal identity (json:"-", and
+	// configKey skips them).
 	cfg.Metrics = q.metrics.Engine()
 
-	// Validate the config (and warm the pipeline pool) before any
-	// budget charge, so a malformed request costs nothing.
-	if _, err := d.Synthesizer(cfg); err != nil {
-		return nil, false, err
-	}
-	rho, err := netdpsyn.RhoFromEpsDelta(cfg.Epsilon, cfg.Delta)
-	if err != nil {
+	// Validate the config before any budget charge, so a malformed
+	// request costs nothing.
+	if _, err := netdpsyn.New(cfg); err != nil {
 		return nil, false, err
 	}
 	// The ledger charge follows the composition argument (see the
@@ -853,9 +875,9 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	// their admission charges 0 and gates on one window's ρ (an
 	// admission that could not afford a single fresh window 403s up
 	// front).
-	admitRho := rho
-	if span > 0 || sr.Follow {
-		admitRho = 0
+	rho, admitRho, err := admissionPrice(cfg, span, sr.Follow)
+	if err != nil {
+		return nil, false, err
 	}
 
 	key := jobCacheKey(d.ID, cfg, span, sr.Follow, epoch)
@@ -891,39 +913,8 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 			return prev, true, nil
 		}
 	}
-	if q.backlog >= q.maxBacklog {
-		// Backlog full: refuse before charging the ledger.
-		return nil, false, ErrQueueFull
-	}
-	// The admission is journaled durably (fsync) inside the charge
-	// before it is applied and before the job is enqueued: by the time
-	// anything computes on this admission, the spend is already on
-	// disk. On a journal failure nothing was charged and the id is not
-	// consumed. Per-key jobs admit at ρ 0 — their windows journal
-	// WindowChargeRecords before each window runs (see windowGate).
-	id := fmt.Sprintf("job-%d", q.next+1)
-	now := time.Now()
-	var rec *persist.ChargeRecord
-	if q.store != nil {
-		rec = &persist.ChargeRecord{
-			JobID:     id,
-			DatasetID: d.ID,
-			Rho:       admitRho,
-			Config:    cfg,
-			Submitted: now,
-			Span:      span,
-			Follow:    sr.Follow,
-			Epoch:     epoch,
-		}
-	}
-	if err := d.Budget().ChargeAdmission(rho, admitRho, rec); err != nil {
-		return nil, false, err
-	}
-	q.next++
 	j := &Job{
-		ID:        id,
 		DatasetID: d.ID,
-		Submitted: now,
 		Rho:       rho,
 		Span:      span,
 		Follow:    sr.Follow,
@@ -933,30 +924,78 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 		bucketHi:  bucketHi,
 		cfg:       cfg,
 		cacheKey:  key,
-		state:     JobQueued,
-		done:      make(chan struct{}),
 	}
+	if admitRho > 0 {
+		// A whole-trace release pays for its one window here.
+		j.charged = map[int64]float64{0: admitRho}
+	}
+	// Per-key jobs admit at ρ 0 — their windows journal
+	// WindowChargeRecords before each window runs (see windowGate).
+	err = q.admitLocked(j, func() error {
+		var rec *persist.ChargeRecord
+		if q.store != nil {
+			rec = &persist.ChargeRecord{
+				JobID:     j.ID,
+				DatasetID: d.ID,
+				Rho:       admitRho,
+				Config:    cfg,
+				Submitted: j.Submitted,
+				Span:      span,
+				Follow:    sr.Follow,
+				Epoch:     epoch,
+			}
+		}
+		return d.Budget().ChargeAdmission(rho, admitRho, rec)
+	}, slog.Int64("span", span), slog.Bool("follow", sr.Follow))
+	if err != nil {
+		return nil, false, err
+	}
+	q.metrics.cacheMisses.Inc()
+	return j, false, nil
+}
+
+// admitLocked is the admission tail shared by synthesis and evaluation
+// jobs, run under q.mu after the caller's own validation. It refuses a
+// full backlog before anything is charged, gives j the next job id,
+// and runs charge, which journals the job's admission under that id
+// durably (fsync) before applying its spend — so by the time anything
+// computes on this admission, the spend is already on disk. On a
+// charge failure nothing was charged and the id is not consumed.
+// Otherwise the job is registered (and cached, for synthesis jobs),
+// enqueued, counted and logged; attrs extend the log line.
+func (q *Queue) admitLocked(j *Job, charge func() error, attrs ...slog.Attr) error {
+	if q.backlog >= q.maxBacklog {
+		return ErrQueueFull
+	}
+	j.ID = fmt.Sprintf("job-%d", q.next+1)
+	j.Submitted = time.Now()
+	if err := charge(); err != nil {
+		return err
+	}
+	q.next++
+	j.state = JobQueued
+	j.done = make(chan struct{})
 	q.attachSpool(j)
 	q.jobsMu.Lock()
 	q.jobs[j.ID] = j
 	q.jobsMu.Unlock()
-	q.cache[key] = j
+	if j.cacheKey != "" {
+		q.cache[j.cacheKey] = j
+	}
 	q.order = append(q.order, j)
 	q.sweepJobs()
 	q.backlog++
 	// Cannot block: channel occupancy ≤ q.backlog ≤ maxBacklog == cap
 	// (runners decrement backlog only after receiving).
 	q.pending <- j
-	q.metrics.cacheMisses.Inc()
 	q.metrics.jobsAdmitted.Inc()
-	q.log.LogAttrs(context.Background(), slog.LevelInfo, "job admitted",
+	q.log.LogAttrs(context.Background(), slog.LevelInfo, "job admitted", append([]slog.Attr{
 		slog.String("job", j.ID),
-		slog.String("dataset", d.ID),
-		slog.Float64("rho", rho),
-		slog.Int64("span", span),
-		slog.Bool("follow", sr.Follow),
-	)
-	return j, false, nil
+		slog.String("dataset", j.DatasetID),
+		slog.String("kind", j.Kind()),
+		slog.Float64("rho", j.Rho),
+	}, attrs...)...)
+	return nil
 }
 
 // backlogLen reports the number of admitted-but-unfinished jobs — the
@@ -982,15 +1021,18 @@ func (q *Queue) stateCount(st JobState) int {
 	return n
 }
 
-// attachSpool gives an admitted job its result spool: file-backed
-// under the state dir when the queue is durable (the result then
-// survives a restart), in-memory for windowed jobs on a volatile
-// queue (so result.csv can still stream windows as they complete).
-// Plain jobs on a volatile queue keep using the in-memory result
-// only. Failure to open the file degrades to no spool — the job
-// still runs; only persistence/streaming of its result is lost.
+// attachSpool gives an admitted synthesis job its result spool:
+// file-backed under the state dir when the queue is durable (the
+// result then survives a restart), in-memory for windowed jobs on a
+// volatile queue (so result.csv can still stream windows as they
+// complete). Plain jobs on a volatile queue keep using the in-memory
+// result only, and evaluation jobs journal their scores instead.
+// Failure to open the file degrades to no spool — the job still runs;
+// only persistence/streaming of its result is lost.
 func (q *Queue) attachSpool(j *Job) {
 	switch {
+	case j.Evaluate:
+		// No spool: the scores ride on the job's terminal record.
 	case q.store != nil:
 		if rs, err := newResultSpool(q.store.ResultPath(j.ID)); err == nil {
 			j.mu.Lock()
@@ -1005,8 +1047,9 @@ func (q *Queue) attachSpool(j *Job) {
 	}
 }
 
-// windowed reports whether the job synthesizes window by window (span
-// and follow jobs), as opposed to one whole-trace pipeline run.
+// windowed reports whether the job releases time windows charged on
+// their own ledger keys (span and follow jobs), as opposed to a plain
+// job's one whole-trace window charged at admission.
 func (j *Job) windowed() bool { return j.Span > 0 }
 
 // Spool returns the job's result spool, if any.
@@ -1151,51 +1194,139 @@ func (q *Queue) run(j *Job, profCtx context.Context) {
 	}
 	if j.Evaluate {
 		// Evaluation jobs score a finished release instead of running
-		// the pipeline; dispatch before touching the synthesizer (their
-		// cfg is a price, not a pipeline config).
+		// the pipeline (their cfg is a price, not a pipeline config).
 		q.runEvaluate(j, d)
 		return
 	}
-	syn, err := d.Synthesizer(j.cfg) // pooled: warmed at Submit
-	if err != nil {
-		q.fail(j, err)
-		return
-	}
-	syn = syn.WithProfileContext(profCtx)
-	if j.windowed() {
-		// Includes every streaming-dataset job, whose trace exists only
-		// in the spool — the plain path below has no table to hand the
-		// pipeline.
-		q.runWindowed(j, d, syn, spool)
-		return
-	}
-	res, err := syn.Synthesize(d.Table())
+	records, err := q.synthesize(j, d, spool, profCtx)
 	if err != nil {
 		q.fail(j, err)
 		return
 	}
 	if spool != nil {
-		// Persist the result so a restarted daemon serves it directly
-		// instead of regenerating; best-effort — on failure the job
-		// still holds its in-memory result.
-		if err := res.Table.WriteCSV(spool); err == nil {
-			_ = spool.finish("")
-		} else {
-			_ = spool.finish(err.Error())
+		_ = spool.finish("")
+	}
+	q.finishDone(j, records)
+}
+
+// synthesize releases a synthesis job's windows through one
+// SynthesizeSource call and returns the records released. The source
+// is the registered table as one window (plain jobs), its fixed time
+// buckets (span jobs; re-streamed from the spool for a streaming
+// dataset, so the trace is never materialized), or the live feed
+// captured at admission (follow jobs, which run until the epoch is
+// sealed). Span and follow windows pass windowGate — charge before
+// compute, per window key; a plain job paid at admission. Each
+// released window is appended to the spool (one header for the whole
+// file) and adds its trace entry, its stage timings and, for follow
+// jobs, a free rolling-quality entry that reads only released windows.
+func (q *Queue) synthesize(j *Job, d *Dataset, spool *resultSpool, profCtx context.Context) (int, error) {
+	syn, err := netdpsyn.New(j.cfg)
+	if err != nil {
+		return 0, err
+	}
+	var src netdpsyn.WindowSource
+	var opts netdpsyn.StreamOptions
+	switch {
+	case !j.windowed():
+		src = &wholeTrace{t: d.Table()}
+	case j.Follow:
+		src = j.feed.Live()
+	case d.Streaming():
+		f, err := d.OpenSpool()
+		if err != nil {
+			return 0, err
+		}
+		defer f.Close()
+		// The row cap keeps one dense bucket from materializing the
+		// trace the bounded-memory path exists to avoid.
+		src, err = netdpsyn.StreamWindowSource(f, d.Schema(), netdpsyn.StreamOptions{WindowSpan: j.Span, MaxWindowRows: q.maxWindowRows})
+		if err != nil {
+			return 0, err
+		}
+	default:
+		if src, err = netdpsyn.TimeWindowSource(d.Table(), j.Span); err != nil {
+			return 0, err
 		}
 	}
-	j.mu.Lock()
-	j.records = res.Records
-	j.result = res
-	j.setStages(res.Stages)
-	j.trace = append(j.trace, WindowTrace{
-		Window:     0,
-		RhoCharged: j.Rho,
-		Records:    res.Records,
-		Spans:      spansMS(res.Spans),
+	if j.windowed() {
+		opts.BeforeWindow = q.windowGate(j, d)
+	}
+	records := 0
+	wroteHeader := false
+	var prevWindow *netdpsyn.MarginalCounts
+	err = syn.WithProfileContext(profCtx).SynthesizeSource(src, opts, func(wr netdpsyn.WindowResult) error {
+		if spool != nil {
+			write := wr.Table.WriteCSV
+			if wroteHeader {
+				write = wr.Table.WriteCSVBody
+			}
+			wroteHeader = true
+			if err := write(spool); err != nil {
+				if j.windowed() {
+					return err
+				}
+				_ = spool.finish(err.Error()) // a plain job still holds its table in memory
+			}
+		}
+		records += wr.Records
+		// Quality is O(window rows); compute it before taking j.mu so a
+		// status poll never waits on it.
+		entry := WindowTrace{Records: wr.Records, Spans: spansMS(wr.Spans)}
+		if j.Follow {
+			cur := netdpsyn.NewMarginalCounts(wr.Table)
+			entry.Quality = windowQuality(prevWindow, cur)
+			prevWindow = cur
+		}
+		j.mu.Lock()
+		entry.Window = len(j.trace)
+		entry.RhoCharged = j.charged[wr.Bucket]
+		if j.windowed() {
+			b := wr.Bucket // &wr.Bucket would keep wr.Table alive with the trace
+			entry.Bucket = &b
+			j.windowsDone++
+		} else {
+			j.result = wr.Table
+		}
+		j.trace = append(j.trace, entry)
+		emitted := len(j.trace)
+		j.setStages(wr.Stages)
+		j.mu.Unlock()
+		if !j.windowed() {
+			return nil
+		}
+		q.metrics.recordWindow(j.DatasetID, wr.Bucket, j.Follow)
+		if emitted > maxWindows {
+			// The span is too fine for the trace's time resolution to
+			// be worth one pipeline per bucket.
+			return fmt.Errorf("serve: window_span %d produced more than %d windows — choose a coarser span", j.Span, maxWindows)
+		}
+		return nil
 	})
-	j.mu.Unlock()
-	q.finishDone(j, res.Records)
+	return records, err
+}
+
+// wholeTrace is a plain job's source: the registered table itself as
+// one window (no copy). ID 0 seeds the window with the job's Seed, so
+// the release is Synthesize's byte for byte, and reporting one window
+// gives that window the job's whole worker share.
+type wholeTrace struct {
+	t    *netdpsyn.Table
+	done bool
+}
+
+func (s *wholeTrace) Windows() int { return 1 }
+
+func (s *wholeTrace) Next() (netdpsyn.Window, error) {
+	if s.done {
+		return netdpsyn.Window{}, io.EOF
+	}
+	s.done = true
+	if s.t == nil || s.t.NumRows() == 0 {
+		// Synthesize's refusal: the engine would skip an empty window.
+		return netdpsyn.Window{}, errors.New("netdpsyn: empty input table")
+	}
+	return netdpsyn.Window{ID: 0, Table: s.t}, nil
 }
 
 // windowGate is the per-window admission hook of span and follow
@@ -1242,142 +1373,34 @@ func (q *Queue) windowGate(j *Job, d *Dataset) func(bucket int64, rows int) erro
 	}
 }
 
-// runWindowed synthesizes a windowed job window-by-window, recording
-// per-window progress and streaming each completed window's CSV into
-// the result spool (header once, then rows). In-memory datasets go
-// through the time-span source over the registered table; streaming
-// datasets re-stream their spooled CSV through the bounded-memory span
-// path, so the trace is never materialized even while serving it;
-// follow jobs ride the live feed captured at admission, synthesizing
-// each window as it lands until the feed epoch is sealed. Every window
-// passes through windowGate — charge-before-compute, per window key.
-func (q *Queue) runWindowed(j *Job, d *Dataset, syn *netdpsyn.Synthesizer, spool *resultSpool) {
-	records := 0
-	wroteHeader := false
-	// prevWindow carries the previous released window of a follow job
-	// (with its marginal histograms memoized) for the rolling quality
-	// entry (drift vs the prior release) — a free statistic: it reads
-	// only already-released windows.
-	var prevWindow *netdpsyn.MarginalCounts
-	emit := func(wr netdpsyn.WindowResult) error {
-		if spool != nil {
-			// One header row for the whole file, keyed on the first
-			// emission (window 0 can be empty and skipped).
-			var err error
-			if wroteHeader {
-				err = wr.Table.WriteCSVBody(spool)
-			} else {
-				err = wr.Table.WriteCSV(spool)
-			}
-			if err != nil {
-				return err
-			}
-			wroteHeader = true
-		}
-		records += wr.Records
-		// Quality is O(window rows); compute it before taking j.mu so a
-		// status poll never waits on it.
-		var quality *WindowQuality
-		if j.Follow && wr.Table != nil {
-			cur := netdpsyn.NewMarginalCounts(wr.Table)
-			quality = windowQuality(prevWindow, cur)
-			prevWindow = cur
-		}
-		j.mu.Lock()
-		j.windowsDone++
-		emitted := j.windowsDone
-		j.setStages(wr.Stages)
-		// The trace reports the actual ledger charge for this bucket (0
-		// when a resumed/resurrected run inherited an already-paid key).
-		b := wr.Bucket
-		j.trace = append(j.trace, WindowTrace{
-			Window:     emitted - 1,
-			Bucket:     &b,
-			RhoCharged: j.chargedRho[b],
-			Records:    wr.Records,
-			Spans:      spansMS(wr.Spans),
-			Quality:    quality,
-		})
-		j.mu.Unlock()
-		q.metrics.recordWindow(j.DatasetID, wr.Bucket, j.Follow)
-		if emitted > maxWindows {
-			// The span is too fine for the trace's time resolution to
-			// be worth one pipeline per bucket.
-			return fmt.Errorf("serve: window_span %d produced more than %d windows — choose a coarser span", j.Span, maxWindows)
-		}
-		return nil
-	}
-	var err error
-	switch {
-	case j.Follow:
-		err = syn.SynthesizeSource(j.feed.Live(), netdpsyn.StreamOptions{BeforeWindow: q.windowGate(j, d)}, emit)
-	case d.Streaming():
-		// Streaming datasets are always span-windowed (enforced at
-		// Submit); the per-window row cap keeps one dense bucket from
-		// materializing the trace the bounded-memory path exists to
-		// avoid.
-		var f *os.File
-		if f, err = d.OpenSpool(); err == nil {
-			err = syn.SynthesizeStream(f, d.Schema(), netdpsyn.StreamOptions{
-				WindowSpan:    j.Span,
-				MaxWindowRows: q.maxWindowRows,
-				BeforeWindow:  q.windowGate(j, d),
-			}, emit)
-			f.Close()
-		}
-	default:
-		var src netdpsyn.WindowSource
-		if src, err = netdpsyn.TimeWindowSource(d.Table(), j.Span); err == nil {
-			err = syn.SynthesizeSource(src, netdpsyn.StreamOptions{BeforeWindow: q.windowGate(j, d)}, emit)
-		}
-	}
-	if err != nil {
-		if spool != nil {
-			_ = spool.finish(err.Error())
-		}
-		q.fail(j, err)
-		return
-	}
-	if spool != nil {
-		_ = spool.finish("")
-	}
-	j.mu.Lock()
-	j.records = records
-	j.mu.Unlock()
-	q.finishDone(j, records)
-}
-
 // finishDone moves a job to done, applies the result-retention sweep,
-// journals the terminal, and wakes waiters.
+// journals the terminal (with an evaluation job's score block), and
+// wakes waiters.
 func (q *Queue) finishDone(j *Job, records int) {
 	j.mu.Lock()
 	j.state = JobDone
 	j.finished = time.Now()
+	j.records = records
 	// Capture the channel under the lock: once the result is set, a
 	// concurrent eviction + identical Submit could resurrect the job
 	// and install a fresh channel; the close must hit the channel the
 	// current waiters hold.
 	done := j.done
 	retain := j.result != nil || j.spool != nil
+	eval := j.evaluation
 	j.mu.Unlock()
 	if retain {
 		q.mu.Lock()
 		q.retained = append(q.retained, j)
-		for len(q.retained) > q.maxResults {
-			old := q.retained[0]
-			q.retained[0] = nil
-			q.retained = q.retained[1:]
-			old.mu.Lock()
-			evictResultLocked(old)
-			old.mu.Unlock()
-		}
+		q.trimRetainedLocked()
 		q.mu.Unlock()
 	}
-	q.journalTerminal(j.ID, string(JobDone), records, "")
+	q.journalTerminal(j.ID, string(JobDone), records, "", eval)
 	close(done)
 	q.log.LogAttrs(context.Background(), slog.LevelInfo, "job done",
 		slog.String("job", j.ID),
 		slog.String("dataset", j.DatasetID),
+		slog.String("kind", j.Kind()),
 		slog.Int("records", records),
 	)
 }
@@ -1386,16 +1409,25 @@ func (q *Queue) finishDone(j *Job, records int) {
 // lost terminal record makes the job replay as an interrupted charged
 // failure, which is the conservative direction (the charge is
 // retained either way, and a deterministic resubmit re-admits with a
-// fresh conservative charge).
-func (q *Queue) journalTerminal(jobID, state string, records int, errMsg string) {
+// fresh conservative charge). A finished evaluation's scores ride
+// along, so a restarted daemon serves them without re-reading the raw
+// trace.
+func (q *Queue) journalTerminal(jobID, state string, records int, errMsg string, eval *EvaluationResult) {
 	if q.store == nil {
 		return
 	}
+	var blob json.RawMessage
+	if eval != nil {
+		// A block that cannot marshal (a NaN score) leaves the record
+		// without scores; the terminal itself still lands.
+		blob, _ = json.Marshal(eval)
+	}
 	_ = q.store.AppendTerminal(persist.TerminalRecord{
-		JobID:   jobID,
-		State:   state,
-		Records: records,
-		Error:   errMsg,
+		JobID:      jobID,
+		State:      state,
+		Records:    records,
+		Error:      errMsg,
+		Evaluation: blob,
 	})
 }
 
@@ -1420,7 +1452,7 @@ func (q *Queue) fail(j *Job, err error) {
 		delete(q.cache, j.cacheKey)
 	}
 	q.mu.Unlock()
-	q.journalTerminal(j.ID, string(JobFailed), 0, err.Error())
+	q.journalTerminal(j.ID, string(JobFailed), 0, err.Error(), nil)
 	close(done)
 	q.log.LogAttrs(context.Background(), slog.LevelWarn, "job failed",
 		slog.String("job", j.ID),
@@ -1436,68 +1468,68 @@ func (q *Queue) fail(j *Job, err error) {
 // a fresh admission with a fresh charge).
 const interruptedJobError = "interrupted by a daemon restart before completion; its ρ charge is retained (no refund)"
 
-// restoreJobs installs recovered jobs: done jobs come back as
-// done-with-evicted-result (their cache entry intact, so an identical
-// resubmit resurrects them at zero charge), failed jobs keep their
-// error, and charged-but-unfinished jobs become charged failures —
-// EXCEPT unfinished follow jobs whose feed epoch survived, which
-// RESUME: the feed was rebuilt from journaled windows, the job's
-// per-key charge positions are exact (ChargedBuckets), so it re-runs
-// from the epoch's first window, skips the charge for every bucket it
-// already paid for (the identical deterministic computation), and
-// picks up at the next bucket — new arrivals charge normally. Runs at
-// boot before the queue is visible to requests.
+// restoreJobs installs recovered synthesis and evaluation jobs: done
+// jobs come back as done — a synthesis job with its persisted result
+// file or as done-with-evicted-result, an evaluation with its
+// journaled scores — failed jobs keep their error, and
+// charged-but-unfinished jobs become charged failures — EXCEPT
+// unfinished follow jobs whose feed epoch survived, which RESUME: the
+// feed was rebuilt from journaled windows, the job's per-key charge
+// positions are exact (ChargedBuckets), so it re-runs from the
+// epoch's first window, skips the charge for every bucket it already
+// paid for (the identical deterministic computation), and picks up at
+// the next bucket — new arrivals charge normally. Runs at boot before
+// the queue is visible to requests.
+//
+// One rule decides which recovered done jobs re-enter the result
+// cache: those whose journaled admission ρ equals what Submit charges
+// today for the same (config, span, follow) — admissionPrice. Older
+// journals fail it (a span admission charged ρ on the scalar axis,
+// where Submit now charges 0; a count-window job charged windows × ρ),
+// and so would any later price change: such a job keeps its spend and
+// metadata, and an identical resubmit is a fresh admission, never a
+// zero-cost re-run under accounting that did not pay for it.
+// Evaluations are never cached.
 func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := range jobs {
 		js := &jobs[i]
-		if js.Eval != nil {
-			q.restoreEvalJob(js, info)
-			continue
-		}
-		cfg := js.Config
-		cfg.Workers = q.perJob // this generation's worker split, not the old one's
-		cfg.Metrics = q.metrics.Engine()
 		j := &Job{
 			ID:        js.JobID,
 			DatasetID: js.DatasetID,
 			Submitted: js.Submitted,
 			Rho:       js.Rho,
-			Span:      js.Span,
-			Follow:    js.Follow,
-			Epoch:     js.Epoch,
-			cfg:       cfg,
-			cacheKey:  jobCacheKey(js.DatasetID, cfg, js.Span, js.Follow, js.Epoch),
 			done:      make(chan struct{}),
 		}
-		if (js.Follow || js.Span > 0) && js.Rho == 0 {
-			// Span and follow admissions journal ρ 0 (their spend is
-			// per window key); the job's reported Rho is the
-			// per-window price.
-			if rho, err := netdpsyn.RhoFromEpsDelta(cfg.Epsilon, cfg.Delta); err == nil {
-				j.Rho = rho
+		cacheable := false
+		if ec := js.Eval; ec != nil {
+			j.Evaluate = true
+			j.TargetJobID = ec.TargetJob
+			j.evalReq = EvaluationRequest{
+				JobID:   ec.TargetJob,
+				Metrics: ec.Metrics,
+				Models:  ec.Models,
+				Epsilon: ec.Epsilon,
+				Delta:   ec.Delta,
+				Seed:    ec.Seed,
 			}
-		}
-		// A span job from a pre-per-key journal (admission Rho = ρ,
-		// charged on the scalar axis, no per-key history): its result
-		// must not be resurrectable — a re-run would charge every
-		// window key on top of the replayed scalar spend, turning the
-		// documented zero-cost regeneration into a double charge. It
-		// keeps its metadata; an identical resubmit is a fresh
-		// admission under the new accounting (the conservative
-		// direction, same as the metadata-sweep rule).
-		legacySpan := js.Span > 0 && !js.Follow && js.Rho > 0
-		// A count-quantile job from an older journal (Windows > 1, its
-		// windows × ρ charged on the scalar axis) has no job kind left to
-		// run as: it replays its spend, its metadata, and any persisted
-		// result file, but stays out of the cache by the same rule —
-		// otherwise a whole-trace request with the same config would be
-		// served the count release, or would resurrect it as a
-		// whole-trace run.
-		legacyCount := js.Windows > 1
-		for _, b := range js.ChargedBuckets {
-			j.markCharged(b, 0)
+			j.cfg = netdpsyn.Config{Epsilon: ec.Epsilon, Delta: ec.Delta, Seed: ec.Seed}
+		} else {
+			j.Span, j.Follow, j.Epoch = js.Span, js.Follow, js.Epoch
+			j.cfg = js.Config
+			j.cfg.Workers = q.perJob // this generation's worker split, not the old one's
+			j.cfg.Metrics = q.metrics.Engine()
+			j.cacheKey = jobCacheKey(js.DatasetID, j.cfg, js.Span, js.Follow, js.Epoch)
+			if rho, admit, err := admissionPrice(j.cfg, js.Span, js.Follow); err == nil && admit == js.Rho {
+				// The job paid today's price: its reported Rho is the
+				// per-release ρ (span and follow admissions journal 0).
+				j.Rho = rho
+				cacheable = true
+			}
+			for _, b := range js.ChargedBuckets {
+				j.markCharged(b, 0)
+			}
 		}
 		resumed := false
 		switch js.State {
@@ -1506,6 +1538,12 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 			j.state = JobDone
 			j.records = js.Records
 			j.windowsDone = len(js.ChargedBuckets)
+			if len(js.Evaluation) > 0 {
+				var res EvaluationResult
+				if err := json.Unmarshal(js.Evaluation, &res); err == nil {
+					j.evaluation = &res
+				}
+			}
 			// A persisted result lets the restarted daemon serve
 			// result.csv directly instead of regenerating. The file is
 			// only trusted under a journaled done terminal: the spool is
@@ -1549,16 +1587,17 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 				}
 			}
 			if !resumed {
-				// The conservative fallback (non-follow jobs, vanished
-				// datasets, superseded epochs): a charged failure,
-				// never a silent re-run.
+				// The conservative fallback (evaluations, non-follow
+				// jobs, vanished datasets, superseded epochs): a charged
+				// failure, never a silent re-run — a raw-data pass or a
+				// release may have partially happened before the crash.
 				close(j.done)
 				j.state = JobFailed
 				j.errMsg = interruptedJobError
 				info.InterruptedJobs++
 				// Converge the journal: next restart replays it as a
 				// plain failure without re-counting it as interrupted.
-				q.journalTerminal(j.ID, string(JobFailed), 0, j.errMsg)
+				q.journalTerminal(j.ID, string(JobFailed), 0, j.errMsg, nil)
 			}
 		}
 		if n, err := strconv.Atoi(strings.TrimPrefix(j.ID, "job-")); err == nil && n > q.next {
@@ -1568,12 +1607,11 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 		q.jobs[j.ID] = j
 		q.jobsMu.Unlock()
 		q.order = append(q.order, j)
-		if (j.state == JobDone && !legacySpan && !legacyCount) || resumed {
-			// Done: the synthesized table itself is not persisted
-			// (results are large and deterministic); the job replays as
-			// done-but-evicted and regenerates on an identical resubmit
-			// at zero charge. Resumed: an identical submit must hit the
-			// running job, not admit a duplicate.
+		if (j.state == JobDone && cacheable) || resumed {
+			// Done: the job replays as done (its result persisted or
+			// evicted) and an identical resubmit serves or regenerates
+			// it at zero charge. Resumed: an identical submit must hit
+			// the running job, not admit a duplicate.
 			q.cache[j.cacheKey] = j
 		}
 		if j.state == JobDone && j.spool != nil {
@@ -1593,12 +1631,5 @@ func (q *Queue) restoreJobs(jobs []persist.JobState, info *RecoveryInfo) {
 	// generation with a larger -max-results, or accumulated files):
 	// apply the count policy now, oldest first.
 	sort.Slice(q.retained, func(a, b int) bool { return q.retained[a].finished.Before(q.retained[b].finished) })
-	for len(q.retained) > q.maxResults {
-		old := q.retained[0]
-		q.retained[0] = nil
-		q.retained = q.retained[1:]
-		old.mu.Lock()
-		evictResultLocked(old)
-		old.mu.Unlock()
-	}
+	q.trimRetainedLocked()
 }

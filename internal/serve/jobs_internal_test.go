@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -175,5 +176,35 @@ func TestJobMetadataSweep(t *testing.T) {
 	}
 	if got := d.Budget().Snapshot().SpentRho; got <= spent {
 		t.Fatalf("re-admission after sweep should charge: spent ρ %v → %v", spent, got)
+	}
+}
+
+// TestWholeTraceSource pins the plain job's window source as the
+// engine sees it: one window with ID 0 (the job's own Seed) holding
+// the registered table itself, not a copy, then io.EOF. It must
+// report its window count through the WindowSource, because the
+// engine splits the job's workers by it — without it the one window
+// would run on a single worker. An empty table is refused with
+// Synthesize's error instead of releasing nothing.
+func TestWholeTraceSource(t *testing.T) {
+	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: 50, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src netdpsyn.WindowSource = &wholeTrace{t: raw}
+	wc, ok := src.(interface{ Windows() int })
+	if !ok || wc.Windows() != 1 {
+		t.Fatalf("plain source reports no window count of 1 (ok=%v)", ok)
+	}
+	w, err := src.Next()
+	if err != nil || w.ID != 0 || w.Table != raw {
+		t.Fatalf("first window = (ID %d, same table %v, %v), want the registered table as window 0", w.ID, w.Table == raw, err)
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("second Next = %v, want io.EOF", err)
+	}
+	empty := netdpsyn.NewTable(raw.Schema(), 0)
+	if _, err := (&wholeTrace{t: empty}).Next(); err == nil || err.Error() != "netdpsyn: empty input table" {
+		t.Fatalf("empty table = %v, want Synthesize's empty-table error", err)
 	}
 }

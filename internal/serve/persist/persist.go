@@ -156,17 +156,12 @@ type ChargeRecord struct {
 	// whole-trace jobs. Span and follow jobs admit at Rho 0 — their
 	// spend lands per window key as WindowChargeRecords while the job
 	// runs, which is what lets distinct buckets compose in parallel
-	// and the same bucket re-release sequentially. (Older journals
-	// carry span admissions with Rho = ρ; replaying them as scalar
-	// spend is the conservative reading.)
-	//
-	// Windows is replay-only: journals from daemons that still ran
-	// count-quantile window jobs mark them with Windows > 1 and their
-	// windows × ρ scalar charge in Rho. Nothing writes it any more;
-	// recovery keeps such jobs' spend and metadata but never caches or
-	// re-runs them.
-	Windows int   `json:"windows,omitempty"`
-	Span    int64 `json:"span,omitempty"`
+	// and the same bucket re-release sequentially. Older journals
+	// carry span admissions with Rho = ρ, and count-window admissions
+	// (with a "windows" field this type no longer decodes) with
+	// windows × ρ; replaying them as scalar spend is the conservative
+	// reading.
+	Span int64 `json:"span,omitempty"`
 	// Follow marks a live-feed follow job and Epoch the feed epoch it
 	// consumes (also set on span jobs for symmetry: 0).
 	Follow bool `json:"follow,omitempty"`

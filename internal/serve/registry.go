@@ -13,10 +13,9 @@ import (
 	"github.com/netdpsyn/netdpsyn/internal/serve/persist"
 )
 
-// Dataset is one registered trace: its schema metadata, the
-// per-dataset budget ledger, and a pool of warm Synthesizer instances
-// keyed by configuration. An in-memory dataset additionally pins its
-// decoded table; a streaming dataset holds no table at all — its
+// Dataset is one registered trace: its schema metadata and the
+// per-dataset budget ledger. An in-memory dataset additionally pins
+// its decoded table; a streaming dataset holds no table at all — its
 // records live only in the CSV spool on disk, and windowed jobs
 // re-stream them through the bounded-memory synthesis path, so trace
 // length is capped by disk, not RAM.
@@ -53,16 +52,7 @@ type Dataset struct {
 	// seal can wait reservations out.
 	pending  map[int64]bool
 	feedCond *sync.Cond
-
-	mu   sync.Mutex
-	pool map[string]*netdpsyn.Synthesizer
 }
-
-// maxPoolEntries bounds the per-dataset pipeline pool. The pool keys
-// include client-chosen fields (seed, ε), so without a bound a
-// long-lived daemon's memory would grow with every distinct request;
-// past the cap, instances are constructed per call and not retained.
-const maxPoolEntries = 64
 
 // Table returns the registered trace table (nil for streaming
 // datasets). Tables are append-only and never mutated after
@@ -114,27 +104,6 @@ func (d *Dataset) labelField() string {
 		return d.schema.Fields[li].Name
 	}
 	return ""
-}
-
-// Synthesizer returns a pooled pipeline for cfg, constructing and
-// caching it on first use. The pool key includes Workers (the worker
-// bound is baked into the pipeline at construction) even though the
-// output does not depend on it.
-func (d *Dataset) Synthesizer(cfg netdpsyn.Config) (*netdpsyn.Synthesizer, error) {
-	key := configKey(cfg, true)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s, ok := d.pool[key]; ok {
-		return s, nil
-	}
-	s, err := netdpsyn.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.pool) < maxPoolEntries {
-		d.pool[key] = s
-	}
-	return s, nil
 }
 
 // Info is the JSON shape of a registered dataset.
@@ -331,7 +300,6 @@ func (r *Registry) Register(req RegisterRequest) (*Dataset, error) {
 		span:     req.Span,
 		bucketLo: req.BucketLo,
 		bucketHi: req.BucketHi,
-		pool:     make(map[string]*netdpsyn.Synthesizer),
 	}
 	if req.Feed {
 		d.feed = feed
@@ -370,9 +338,6 @@ func (r *Registry) restore(d *Dataset) {
 		r.next = n
 	}
 	d.seq = r.next
-	if d.pool == nil {
-		d.pool = make(map[string]*netdpsyn.Synthesizer)
-	}
 	r.byID[d.ID] = d
 }
 
@@ -396,17 +361,13 @@ func (r *Registry) List() []*Dataset {
 	return out
 }
 
-// configKey canonicalizes the output-relevant fields of a Config.
-// With includeWorkers=false it is the result-cache key: Workers is
-// excluded because the staged engine's determinism contract makes the
-// output byte-identical across worker counts at a fixed Seed, so two
-// requests differing only in Workers are the same release.
-func configKey(cfg netdpsyn.Config, includeWorkers bool) string {
-	key := fmt.Sprintf("eps=%g|delta=%g|iters=%d|key=%s|tau=%g|records=%d|seed=%d|gum=%t",
+// configKey canonicalizes the output-relevant fields of a Config for
+// the result-cache key. Workers is excluded because the staged
+// engine's determinism contract makes the output byte-identical across
+// worker counts at a fixed Seed, so two requests differing only in
+// Workers are the same release.
+func configKey(cfg netdpsyn.Config) string {
+	return fmt.Sprintf("eps=%g|delta=%g|iters=%d|key=%s|tau=%g|records=%d|seed=%d|gum=%t",
 		cfg.Epsilon, cfg.Delta, cfg.UpdateIterations, cfg.KeyAttr,
 		cfg.Tau, cfg.SynthRecords, cfg.Seed, cfg.UseGUM)
-	if includeWorkers {
-		key += fmt.Sprintf("|workers=%d", cfg.Workers)
-	}
-	return key
 }

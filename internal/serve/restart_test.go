@@ -634,21 +634,48 @@ func TestRestartReplaysCountWindowJournal(t *testing.T) {
 
 	// Two done count jobs as such a daemon journaled them, each with
 	// the config Submit normalizes an {epsilon 1, delta 1e-5,
-	// iterations 3, seed} request to, and no result file.
+	// iterations 3, seed} request to, and no result file. The charges
+	// go in as the raw journal lines that daemon wrote, "windows":3
+	// included, numbered after the journal's last record.
 	seeds := []uint64{5, 6}
 	countJobs := []string{"job-1", "job-2"}
-	store, _, err := persist.Open(dir)
+	store, st, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jf, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
 		cfg := netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: seed,
 			Tau: core.DefaultConfig().Tau, KeyAttr: datagen.LabelField(datagen.TON)}
-		if err := store.AppendCharge(persist.ChargeRecord{JobID: countJobs[i], DatasetID: dsID,
-			Rho: 3 * rho, Config: cfg, Submitted: time.Now(), Windows: 3}); err != nil {
+		line, err := json.Marshal(map[string]any{
+			"seq": st.Seq + uint64(i) + 1,
+			"t":   "charge",
+			"ch": struct {
+				persist.ChargeRecord
+				Windows int `json:"windows"`
+			}{persist.ChargeRecord{JobID: countJobs[i], DatasetID: dsID, Rho: 3 * rho, Config: cfg, Submitted: time.Now()}, 3},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.AppendTerminal(persist.TerminalRecord{JobID: countJobs[i], State: string(JobDone), Records: 200}); err != nil {
+		if _, err := jf.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store, _, err = persist.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range countJobs {
+		if err := store.AppendTerminal(persist.TerminalRecord{JobID: id, State: string(JobDone), Records: 200}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -729,6 +756,134 @@ func TestRestartReplaysCountWindowJournal(t *testing.T) {
 			t.Fatalf("boot %d: whole-trace job: %v", boot, err)
 		}
 		checkCountJobs("after the whole-trace job")
+		ts.Close()
+		shutdownServer(t, s)
+	}
+}
+
+// TestRestartReplaysLegacySpanJournal: a state dir written while span
+// admissions still charged ρ on the scalar axis (a done span job
+// whose admission carries ρ and which has no window charges) replays
+// — from the journal, and after Shutdown compacts it, from the
+// snapshot. The spend stays, the jobs stay done with no result, and
+// an identical span request is a fresh admission whose windows charge
+// their keys: never a zero-cost re-run on top of the scalar spend.
+func TestRestartReplaysLegacySpanJournal(t *testing.T) {
+	dir := t.TempDir()
+	rho, err := netdpsyn.RhoFromEpsDelta(1.0, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts0 := httptest.NewServer(s0.Handler())
+	dsID := registerFlow(t, ts0, 200, fmt.Sprintf("budget_rho=%g&budget_delta=1e-5", 20*rho))
+	d0, _ := s0.reg.Get(dsID)
+	tsCol := d0.Table().Column(d0.Schema().Index(netdpsyn.FieldTS))
+	lo, hi := tsCol[0], tsCol[0]
+	for _, v := range tsCol {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	span := (hi-lo)/3 + 1
+	ts0.Close()
+	shutdownServer(t, s0)
+
+	// Two done span jobs as such a daemon journaled them: admission ρ
+	// on the scalar axis, no window charges, no result file.
+	seeds := []uint64{5, 6}
+	legacyJobs := []string{"job-1", "job-2"}
+	store, _, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		cfg := netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: seed,
+			Tau: core.DefaultConfig().Tau, KeyAttr: datagen.LabelField(datagen.TON)}
+		if err := store.AppendCharge(persist.ChargeRecord{JobID: legacyJobs[i], DatasetID: dsID,
+			Rho: rho, Config: cfg, Submitted: time.Now(), Span: span}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendTerminal(persist.TerminalRecord{JobID: legacyJobs[i], State: string(JobDone), Records: 200}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	scalar := 2 * rho
+	for boot, seed := range seeds {
+		s, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		budget := func(when string, wantSpent float64) Status {
+			t.Helper()
+			var st Status
+			resp, err := ts.Client().Get(ts.URL + "/datasets/" + dsID + "/budget")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(st.SpentRho-wantSpent) > 1e-12 {
+				t.Fatalf("boot %d, %s: spent ρ = %v, want %v", boot, when, st.SpentRho, wantSpent)
+			}
+			return st
+		}
+		checkLegacyJobs := func(when string) {
+			t.Helper()
+			for _, id := range legacyJobs {
+				var info JobInfo
+				resp, err := ts.Client().Get(ts.URL + "/jobs/" + id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&info)
+				resp.Body.Close()
+				if err != nil || info.State != JobDone {
+					t.Fatalf("boot %d, %s: legacy span job %s = %q (%v), want done", boot, when, id, info.State, err)
+				}
+				resp, err = ts.Client().Get(ts.URL + "/jobs/" + id + "/result.csv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusGone {
+					t.Fatalf("boot %d, %s: legacy span job %s result.csv = %d, want 410", boot, when, id, resp.StatusCode)
+				}
+			}
+		}
+		// The earlier boot's fresh span job left ρ on each of its keys.
+		budget("at boot", scalar+float64(boot)*rho)
+		checkLegacyJobs("at boot")
+
+		ack, code := submit(t, ts, dsID, SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: seed, WindowSpan: span})
+		if code != http.StatusAccepted || ack.Cached || ack.JobID == legacyJobs[0] || ack.JobID == legacyJobs[1] {
+			t.Fatalf("boot %d: span submit = %d %+v, want a fresh admission", boot, code, ack)
+		}
+		j, err := s.WaitJob(ack.JobID, 60*time.Second)
+		if err != nil || j.State() != JobDone {
+			t.Fatalf("boot %d: span job: %v", boot, err)
+		}
+		// Every released window charged its key once more: the span's
+		// position (the max across its keys) rose by ρ.
+		st := budget("after the span job", scalar+float64(boot+1)*rho)
+		if n := len(j.Snapshot().Trace); len(st.WindowSpend) != n || n < 2 {
+			t.Fatalf("boot %d: %d window keys for %d released windows, want one each (≥ 2)", boot, len(st.WindowSpend), n)
+		}
+		for _, ws := range st.WindowSpend {
+			if ws.Span != span || math.Abs(ws.Rho-float64(boot+1)*rho) > 1e-12 {
+				t.Fatalf("boot %d: window key %s = %v, want %v on span %d", boot, ws.Key, ws.Rho, float64(boot+1)*rho, span)
+			}
+		}
+		checkLegacyJobs("after the span job")
 		ts.Close()
 		shutdownServer(t, s)
 	}

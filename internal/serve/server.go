@@ -1149,9 +1149,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Fast path: the in-memory result of a finished plain job.
-	if res, ok := j.Result(); ok {
+	if t, ok := j.Result(); ok {
 		s.resultHeaders(w, j)
-		_ = res.Table.WriteCSV(w)
+		_ = t.WriteCSV(w)
 		return
 	}
 	info := j.Snapshot()
@@ -1163,9 +1163,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case JobDone:
 		// The job may have finished between the two reads above; only
 		// a re-checked missing result means the spool decides.
-		if res, ok := j.Result(); ok {
+		if t, ok := j.Result(); ok {
 			s.resultHeaders(w, j)
-			_ = res.Table.WriteCSV(w)
+			_ = t.WriteCSV(w)
 			return
 		}
 		if rs != nil {

@@ -108,8 +108,7 @@ type Synthesizer struct {
 // replaced, so `pprof -tagfocus dataset=X,stage=gum` slices profiles
 // by both axes. The context carries labels only — it is never
 // consulted for cancellation or deadlines. The receiver is not
-// modified; the returned copy shares its pipeline, so wrapping a
-// pooled Synthesizer per job is free.
+// modified; the returned copy shares its pipeline.
 func (s *Synthesizer) WithProfileContext(ctx context.Context) *Synthesizer {
 	c := *s
 	c.profCtx = ctx
@@ -327,19 +326,33 @@ func SynthesizeStream(r io.Reader, schema *Schema, cfg Config, opts StreamOption
 // SynthesizeStream is the method form of the package-level
 // SynthesizeStream, for callers that reuse a validated Synthesizer.
 func (s *Synthesizer) SynthesizeStream(r io.Reader, schema *Schema, opts StreamOptions, emit func(WindowResult) error) error {
-	cs, err := dataset.NewCSVStream(r, schema, opts.BatchRows)
+	src, err := StreamWindowSource(r, schema, opts)
 	if err != nil {
 		return err
 	}
-	src, err := dataset.NewStreamWindows(cs, schema, dataset.WindowSplit{
+	return s.synthesizeGated(src, opts.BeforeWindow, emit)
+}
+
+// StreamWindowSource is the WindowSource SynthesizeStream reads: the
+// fixed time-span windows of a time-ordered CSV stream, cut by
+// opts.WindowSpan and held to opts.MaxWindowRows (opts.BeforeWindow
+// belongs to the synthesis call, not the source). It is exposed so
+// callers can run it through SynthesizeSource alongside other
+// sources; the emitted windows are the same either way.
+func StreamWindowSource(r io.Reader, schema *Schema, opts StreamOptions) (WindowSource, error) {
+	cs, err := dataset.NewCSVStream(r, schema, opts.BatchRows)
+	if err != nil {
+		return nil, err
+	}
+	sw, err := dataset.NewStreamWindows(cs, schema, dataset.WindowSplit{
 		Field:       FieldTS,
 		Span:        opts.WindowSpan,
 		MaxSpanRows: opts.MaxWindowRows,
 	})
 	if err != nil {
-		return err
+		return nil, err // not a nil *StreamWindows inside a non-nil interface
 	}
-	return s.synthesizeGated(src, opts.BeforeWindow, emit)
+	return sw, nil
 }
 
 // SynthesizeTimeWindows splits a pre-loaded trace into fixed time

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -67,26 +68,37 @@ type GUM struct {
 type target struct {
 	m      *marginal.Marginal
 	counts []float64 // scaled so the sum equals the synthetic record count
-	// dense selects the arena counting path: current counts, move
-	// quotas, and representative rows live in epoch-stamped arrays
-	// indexed by cell instead of maps. Chosen at NewGUM time; both
-	// paths produce byte-identical plans.
+	// dense selects the arena counting path: live counts, move quotas
+	// and representative rows live in arrays indexed by cell instead
+	// of maps. Chosen at NewGUM time; both paths produce byte-identical
+	// plans.
 	dense bool
 	// tcells are the cells with target > gumDust, ascending — the
 	// only zero-count cells that can contribute deficits. Fixed per
-	// run, so each plan merges it with the touched set instead of
+	// run, so each plan merges it with the nonzero set instead of
 	// rescanning the whole (possibly huge) target vector.
 	tcells []int
 
-	// The last classification of the round snapshot against counts:
-	// over cells in ascending cell order, under cells gap-sorted, the
-	// L1 error, and findable, how many under cells hold at least one
-	// row (only those can find a representative). It is a pure
-	// function of the snapshot's m.Attrs columns, so a plan
-	// reclassifies only while stale. run sets stale each round from
-	// the columns it re-copied; NewGUM starts every target stale and
-	// nothing else clears it, so a direct planUpdate always
-	// reclassifies.
+	// The live tally of the dataset being synthesized: every row's
+	// cell in this marginal and the rows per cell. build fills it once
+	// per run; after that foldIn re-derives only the rows the previous
+	// round moved. A dense target holds int32 cells and counts (NewGUM
+	// makes a target dense only when its cell space and the row count
+	// fit); a sparse one holds int cells and a map whose zero entries
+	// are deleted. nonzero is the number of cells holding a row.
+	cells   []int32     // dense: each row's cell
+	cur     []int32     // dense: rows per cell
+	scells  []int       // sparse: each row's cell
+	scur    map[int]int // sparse: rows per nonzero cell
+	nonzero int
+
+	// The last classification of the tally against counts: over cells
+	// in ascending cell order, under cells gap-sorted, the L1 error,
+	// and findable, how many under cells hold at least one row (only
+	// those can find a representative). It is a pure function of the
+	// live counts, so a plan reclassifies only while stale: build, and
+	// a foldIn that moves a row to another cell, set it; classifying
+	// clears it.
 	over, under []cellGap
 	l1          float64
 	findable    int
@@ -102,7 +114,7 @@ func NewGUM(ms []*marginal.Marginal, n int, cfg GUMConfig) *GUM {
 		denseLimit = gumDenseCellFloor
 	}
 	for _, m := range ms {
-		t := &target{m: m, counts: append([]float64(nil), m.Counts...), stale: true}
+		t := &target{m: m, counts: append([]float64(nil), m.Counts...)}
 		var sum float64
 		for _, c := range t.counts {
 			if c > 0 {
@@ -128,6 +140,9 @@ func NewGUM(ms []*marginal.Marginal, n int, cfg GUMConfig) *GUM {
 		default:
 			t.dense = len(t.counts) <= denseLimit
 		}
+		// The dense path stores cells, per-cell row counts and row
+		// indices as int32.
+		t.dense = t.dense && len(t.counts) <= math.MaxInt32 && n <= math.MaxInt32
 		if t.dense && len(t.counts) > g.denseCells {
 			g.denseCells = len(t.counts)
 		}
@@ -152,93 +167,215 @@ func (g *GUM) Run(ds *dataset.Encoded) []float64 {
 // run is Run on a caller-provided worker pool (the pipeline threads
 // its engine through so stage timings capture GUM's busy time).
 //
-// Each round snapshots the dataset, plans every marginal's update
-// pass against that snapshot concurrently, then applies the plans
-// sequentially in marginal order. Planning — the O(records × attrs)
-// hot path that dominates end-to-end runtime — is a pure function of
-// (snapshot, target, alpha, per-pass RNG), so the fan-out cannot
-// perturb the output: a pass's RNG derives from (Seed, round,
-// marginal index), never from worker identity or completion order.
+// Each round plans every marginal's update pass concurrently, then
+// applies the plans sequentially in marginal order. Every plan of a
+// round finishes before any plan is applied, so plans read the dataset
+// as it stood at the round's start. Planning — the hot path that
+// dominates end-to-end runtime — is a pure function of (that dataset,
+// target, alpha, per-pass RNG), so the fan-out cannot perturb the
+// output: a pass's RNG derives from (Seed, round, marginal index),
+// never from worker identity or completion order.
 func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
-	n := ds.NumRows()
-	if n == 0 || len(g.targets) == 0 {
+	if ds.NumRows() == 0 || len(g.targets) == 0 {
 		return nil
 	}
 	errs := make([]float64, 0, g.cfg.Iterations)
+	rs := g.newRounds(ds, eng)
 	alpha := g.cfg.InitAlpha
-	snap := dataset.NewEncoded(ds.Names, ds.Domains, n)
-	// Steady-state arenas: one plan per target (its moves/row buffers
-	// live until the sequential apply, then are reused next round)
-	// and one scratch per worker slot (reused across every
-	// (round, marginal) task that slot runs — see gumScratch).
-	plans := make([]gumPlan, len(g.targets))
-	scratch := make([]*gumScratch, eng.workers)
-	maxAttrs := 0
-	for _, t := range g.targets {
-		if len(t.m.Attrs) > maxAttrs {
-			maxAttrs = len(t.m.Attrs)
-		}
-	}
-	codes := make([]int32, maxAttrs) // applyPlan's cell-decode buffer
-	// Dirty-column tracking: ds differs from snap only in columns the
-	// previous round's moves touched (a duplicate move rewrites every
-	// column, a replace move only its marginal's attributes), so the
-	// per-round snapshot re-copies just those instead of the whole
-	// table.
-	dirty := make([]bool, len(ds.Cols))
-	allDirty := true // first round: snap starts zeroed
 	for it := 0; it < g.cfg.Iterations; it++ {
-		// A target whose columns are not re-copied this round keeps its
-		// classification: once alpha has decayed the quotas to zero,
-		// most rounds move no record and re-copy nothing.
-		for _, t := range g.targets {
-			t.stale = allDirty
-			for _, a := range t.m.Attrs {
-				t.stale = t.stale || dirty[a]
-			}
-		}
-		for a := range ds.Cols {
-			if allDirty || dirty[a] {
-				copy(snap.Cols[a], ds.Cols[a])
-				dirty[a] = false
-			}
-		}
-		allDirty = false
-		base := it * len(g.targets)
-		eng.parallelForWorker(len(g.targets), func(w, ti int) {
-			sc := scratch[w]
-			if sc == nil {
-				sc = newGumScratch(n, g.denseCells)
-				scratch[w] = sc
-			}
-			seed := taskSeed(g.cfg.Seed, "gum-update", base+ti)
-			sc.reseed(seed)
-			planUpdate(snap, g.targets[ti], alpha, g.cfg.DuplicateProb, sc, &plans[ti])
-		})
-		var roundErr float64
-		for ti, t := range g.targets {
-			p := &plans[ti]
-			roundErr += p.l1
-			applyPlan(ds, t.m, p, codes)
-			if p.dups > 0 {
-				allDirty = true
-			} else if len(p.moves) > 0 {
-				for _, a := range t.m.Attrs {
-					dirty[a] = true
-				}
-			}
-		}
-		errs = append(errs, roundErr/float64(len(g.targets))/float64(n))
+		rs.plan(it, alpha)
+		errs = append(errs, rs.apply())
 		alpha *= g.cfg.AlphaDecay
 	}
 	return errs
+}
+
+// gumRounds is one run's round loop state. Its arenas live for the
+// whole run: one plan per target (its moves/row buffers live until the
+// sequential apply, then are reused next round), one scratch per
+// worker slot (reused across every (round, marginal) task that slot
+// runs — see gumScratch), and the bitmap of rows the last apply
+// rewrote.
+type gumRounds struct {
+	g       *GUM
+	ds      *dataset.Encoded
+	eng     *engine
+	plans   []gumPlan
+	scratch []*gumScratch
+	codes   []int32 // applyPlan's cell-decode buffer
+
+	// moved has bit r%64 of word r/64 set for every row the last
+	// apply rewrote; anyMoved says whether any bit is set. built turns
+	// true once the first round has built every target's tally.
+	moved    []uint64
+	anyMoved bool
+	built    bool
+
+	// The round being planned, read by task (planTask, bound once so
+	// a round allocates nothing).
+	it    int
+	alpha float64
+	task  func(w, ti int)
+}
+
+func (g *GUM) newRounds(ds *dataset.Encoded, eng *engine) *gumRounds {
+	maxAttrs := 0
+	for _, t := range g.targets {
+		maxAttrs = max(maxAttrs, len(t.m.Attrs))
+	}
+	rs := &gumRounds{
+		g:       g,
+		ds:      ds,
+		eng:     eng,
+		plans:   make([]gumPlan, len(g.targets)),
+		scratch: make([]*gumScratch, eng.workers),
+		codes:   make([]int32, maxAttrs),
+		moved:   make([]uint64, (ds.NumRows()+63)/64),
+	}
+	rs.task = rs.planTask
+	return rs
+}
+
+// plan plans round it at update rate alpha, one task per target.
+func (rs *gumRounds) plan(it int, alpha float64) {
+	rs.it, rs.alpha = it, alpha
+	rs.eng.parallelForWorker(len(rs.g.targets), rs.task)
+	rs.built = true
+}
+
+// planTask brings target ti's tally up to date — building it in the
+// first round, folding in the rows the previous round moved after
+// that — then plans its update. Both run inside the parallel section,
+// so the only serial work per round is the apply.
+func (rs *gumRounds) planTask(w, ti int) {
+	t := rs.g.targets[ti]
+	if !rs.built {
+		t.build(rs.ds)
+	} else if rs.anyMoved {
+		t.foldIn(rs.ds, rs.moved)
+	}
+	sc := rs.scratch[w]
+	if sc == nil {
+		sc = newGumScratch(rs.g.denseCells)
+		rs.scratch[w] = sc
+	}
+	sc.reseed(taskSeed(rs.g.cfg.Seed, "gum-update", rs.it*len(rs.g.targets)+ti))
+	planUpdate(rs.ds, t, rs.alpha, rs.g.cfg.DuplicateProb, sc, &rs.plans[ti])
+}
+
+// apply executes the round's plans in marginal order, marking every
+// row they rewrite in moved, and returns the round's average L1 error.
+// Every target has folded in the previous round's marks by now.
+func (rs *gumRounds) apply() float64 {
+	if rs.anyMoved {
+		clear(rs.moved)
+		rs.anyMoved = false
+	}
+	var roundErr float64
+	for ti, t := range rs.g.targets {
+		p := &rs.plans[ti]
+		roundErr += p.l1
+		applyPlan(rs.ds, t.m, p, rs.codes, rs.moved)
+		rs.anyMoved = rs.anyMoved || len(p.moves) > 0
+	}
+	return roundErr / float64(len(rs.g.targets)) / float64(rs.ds.NumRows())
+}
+
+// build tallies every row of ds: its cell and the rows per cell. It
+// runs once per run and reuses the buffers of an earlier run.
+func (t *target) build(ds *dataset.Encoded) {
+	n := ds.NumRows()
+	if !t.dense {
+		t.scells = slices.Grow(t.scells[:0], n)[:n]
+		t.m.CellsInto(ds, t.scells)
+		if t.scur == nil {
+			t.scur = make(map[int]int)
+		}
+		clear(t.scur)
+		for _, c := range t.scells {
+			t.scur[c]++
+		}
+		t.nonzero = len(t.scur)
+		t.stale = true
+		return
+	}
+	// Column by column: every partial sum is at most the final cell,
+	// so int32 cannot overflow.
+	cells := slices.Grow(t.cells[:0], n)[:n]
+	clear(cells)
+	for i, a := range t.m.Attrs {
+		s := int32(t.m.Strides()[i])
+		for r, v := range ds.Cols[a][:n] {
+			cells[r] += v * s
+		}
+	}
+	if t.cur == nil {
+		t.cur = make([]int32, len(t.counts))
+	}
+	clear(t.cur)
+	nonzero := 0
+	for _, c := range cells {
+		if t.cur[c] == 0 {
+			nonzero++
+		}
+		t.cur[c]++
+	}
+	t.cells, t.nonzero, t.stale = cells, nonzero, true
+}
+
+// foldIn re-derives the cell of every row marked in moved, in
+// ascending row order, and moves the row's count if its cell changed;
+// any such change makes the target stale. moved must mark every row
+// rewritten since the tally was last current: a duplicate move
+// rewrites every column and a replace move its own marginal's
+// attributes, which other marginals may share.
+func (t *target) foldIn(ds *dataset.Encoded, moved []uint64) {
+	attrs, strides := t.m.Attrs, t.m.Strides()
+	for wi, word := range moved {
+		for ; word != 0; word &= word - 1 {
+			r := wi<<6 | bits.TrailingZeros64(word)
+			c := 0
+			for i, a := range attrs {
+				c += int(ds.Cols[a][r]) * strides[i]
+			}
+			if t.dense {
+				old := t.cells[r]
+				if int(old) == c {
+					continue
+				}
+				t.cells[r] = int32(c)
+				if t.cur[old]--; t.cur[old] == 0 {
+					t.nonzero--
+				}
+				if t.cur[c]++; t.cur[c] == 1 {
+					t.nonzero++
+				}
+			} else {
+				old := t.scells[r]
+				if old == c {
+					continue
+				}
+				t.scells[r] = c
+				if k := t.scur[old] - 1; k > 0 {
+					t.scur[old] = k
+				} else {
+					delete(t.scur, old)
+					t.nonzero--
+				}
+				if t.scur[c]++; t.scur[c] == 1 {
+					t.nonzero++
+				}
+			}
+			t.stale = true
+		}
+	}
 }
 
 // gumMove is one planned record rewrite: duplicate a full source row
 // over r (rowOff ≥ 0, an offset into the plan's rowBuf, preserving
 // the source's cross-marginal correlations), or overwrite r's
 // marginal attributes with the codes of cell (rowOff < 0). The
-// duplicate captures the source record's snapshot codes at planning
+// duplicate captures the source record's round-start codes at planning
 // time, so applying a plan cannot be invalidated by an earlier
 // marginal's moves in the same round.
 type gumMove struct {
@@ -247,8 +384,8 @@ type gumMove struct {
 	rowOff int
 }
 
-// gumPlan is one marginal's update pass: the L1 error measured on the
-// round snapshot and the record moves to apply. The move and row
+// gumPlan is one marginal's update pass: the L1 error measured at the
+// round's start and the record moves to apply. The move and row
 // buffers are owned by the plan and recycled across rounds (a plan
 // must stay readable until the round's sequential apply, so the
 // buffers cannot live in the per-worker scratch).
@@ -256,7 +393,6 @@ type gumPlan struct {
 	l1     float64
 	moves  []gumMove
 	rowBuf []int32 // duplicate moves' captured rows, nAttrs each
-	dups   int     // duplicate moves planned (they dirty every column)
 }
 
 // reset clears the plan for reuse, keeping the buffers.
@@ -264,22 +400,22 @@ func (p *gumPlan) reset() {
 	p.l1 = 0
 	p.moves = p.moves[:0]
 	p.rowBuf = p.rowBuf[:0]
-	p.dups = 0
 }
 
-// planUpdate computes one marginal's update pass against the round
-// snapshot into plan: the planned moves plus the L1 error before the
-// update. It reads only ds and the (freshly reseeded) scratch RNG, so
-// concurrent plans are safe and reproducible; all working memory
-// comes from the scratch arena, the target's gap slices and the
-// plan's own buffers, so the steady state allocates ~nothing. The
-// dense and sparse counting paths are byte-identical by contract:
-// every ordered traversal — and in particular every RNG draw —
-// happens in ascending cell order (or the gap-sorted under order),
-// never in map order.
+// planUpdate computes one marginal's update pass into plan: the
+// planned moves plus the L1 error before the update. It reads ds, the
+// target's tally and the (freshly reseeded) scratch RNG, and writes
+// only the target's classification, the scratch and the plan; every
+// plan of a round finishes before any is applied, so concurrent plans
+// are safe and reproducible. All working memory comes from the scratch
+// arena, the target's gap slices and the plan's own buffers, so the
+// steady state allocates ~nothing. The dense and sparse counting paths
+// are byte-identical by contract: every ordered traversal — and in
+// particular every RNG draw — happens in ascending cell order (or the
+// gap-sorted under order), never in map order.
 //
 // A plan does only the work whose inputs changed. A target that is
-// not stale reuses its classification (phases 1–2), and a plan whose
+// not stale reuses its classification (phase 1), and a plan whose
 // quotas sum to zero ends after drawing them: its pool, shuffle,
 // representatives and moves would all be empty, and the RNG is
 // reseeded for the next plan, so the draws it skips are never seen.
@@ -309,12 +445,13 @@ func sortUnderByGap(under []cellGap) {
 
 // setClassification stores a fresh classification on the target,
 // gap-sorting under whenever a plan could move records between the
-// two sides.
+// two sides, and clears stale.
 func (t *target) setClassification(over, under []cellGap, l1 float64, findable int) {
 	if len(over) > 0 && len(under) > 0 {
 		sortUnderByGap(under)
 	}
 	t.over, t.under, t.l1, t.findable = over, under, l1, findable
+	t.stale = false
 }
 
 // shufflePool is Fisher–Yates with the same draw sequence as
@@ -326,55 +463,52 @@ func shufflePool(rng *rand.Rand, pool []int) {
 	}
 }
 
-// classifyDense is phases 1–2 of the arena path: it tallies the
-// snapshot into sc.cellOf and the arena at countE, then classifies
-// every cell into the target.
-func (t *target) classifyDense(ds *dataset.Encoded, sc *gumScratch, countE uint32) {
-	// Phase 1: current cell of every record plus cell counts, fused
-	// into one row sweep over every record — the inner loop of a
-	// reclassifying plan.
-	sc.denseTally(ds, t.m, countE)
-	// Phase 2: L1 error and over/under split from the touched cells
-	// and the precomputed target-bearing cells. Only cells with
-	// nonzero current or target > gumDust can contribute; gaps below
-	// gumDust cannot be satisfied by integer record moves and would
-	// only soak up the move budget. Two byte-identical routes: when
-	// the cell space is within gumSweepFactor of the interesting set,
-	// one linear ascending sweep of the arena classifies everything
-	// without sorting (the per-plan sort used to be ~a third of gum
-	// wall); otherwise the touched set is sorted and merged. Either
-	// way the traversal is ascending-cell, which fixes the FP
-	// accumulation order of l1 and leaves over already cell-sorted —
-	// the order the quota draws consume the RNG in.
+// classifyDense is phase 1 of the arena path: the L1 error and the
+// over/under split of the live counts. Only cells with a row or target
+// > gumDust can contribute; gaps below gumDust cannot be satisfied by
+// integer record moves and would only soak up the move budget. Two
+// byte-identical routes: when the cell space is within gumSweepFactor
+// of the interesting set, one linear ascending sweep of the counts
+// classifies everything without sorting; otherwise the nonzero cells
+// are collected from the rows (stamped seenE), sorted and merged.
+// Either way the traversal is ascending-cell, which fixes the FP
+// accumulation order of l1 and leaves over already cell-sorted — the
+// order the quota draws consume the RNG in.
+func (t *target) classifyDense(sc *gumScratch, seenE uint32) {
 	over, under := t.over[:0], t.under[:0]
 	var l1 float64
-	if len(t.counts) <= gumSweepFactor*(len(sc.touched)+len(t.tcells)) {
-		over, under, l1 = kernels.GapSweep(sc.vals, sc.stamp, countE, t.counts, t.tcells, gumDust, over, under)
+	if len(t.counts) <= gumSweepFactor*(t.nonzero+len(t.tcells)) {
+		over, under, l1 = kernels.GapSweep(t.cur, t.counts, t.tcells, gumDust, over, under)
 	} else {
-		slices.Sort(sc.touched)
-		over, under, l1 = kernels.GapMerge(sc.touched, sc.vals, t.counts, t.tcells, gumDust, over, under)
+		nonzero := sc.nonzero[:0]
+		for r := 0; len(nonzero) < t.nonzero; r++ {
+			if c := t.cells[r]; sc.stamp[c] != seenE {
+				sc.stamp[c] = seenE
+				nonzero = append(nonzero, int(c))
+			}
+		}
+		slices.Sort(nonzero)
+		sc.nonzero = nonzero
+		over, under, l1 = kernels.GapMerge(nonzero, t.cur, t.counts, t.tcells, gumDust, over, under)
 	}
-	// An under cell stamped countE was counted, so its rows exist; the
-	// rest have zero count and no row can ever represent them.
+	// Only under cells holding a row can find a representative.
 	findable := 0
 	for _, u := range under {
-		if sc.stamp[u.Cell] == countE {
+		if t.cur[u.Cell] > 0 {
 			findable++
 		}
 	}
 	t.setClassification(over, under, l1, findable)
 }
 
-// planUpdateDense is planUpdate's arena path. The phase loops live in
-// the kernels package; this function owns the phase order and every
-// RNG draw.
+// planUpdateDense is planUpdate's arena path. The row and cell loops
+// live in the kernels package; this function owns the phase order and
+// every RNG draw.
 func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
-	n := ds.NumRows()
 	rng := sc.rng
-	vals, stamp := sc.vals, sc.stamp
-	countE, quotaE, repE := sc.phases()
+	seenE, quotaE, repE := sc.phases()
 	if t.stale {
-		t.classifyDense(ds, sc, countE)
+		t.classifyDense(sc, seenE)
 	}
 	plan.l1 = t.l1
 	over, under := t.over, t.under
@@ -382,47 +516,39 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 		return
 	}
 
-	// Phase 3: pool of movable records from over-represented cells,
-	// capped at alpha·excess per cell. Quotas use probabilistic
-	// rounding: with ceil(), every cell would keep contributing ≥1
-	// record per round no matter how small alpha gets, and a large
-	// marginal set would thrash forever instead of settling. The
-	// summed quotas pre-size the pool and move buffers.
+	// Phase 2: each over cell's move quota, capped at alpha·excess.
+	// Quotas use probabilistic rounding: with ceil(), every cell would
+	// keep contributing ≥1 record per round no matter how small alpha
+	// gets, and a large marginal set would thrash forever instead of
+	// settling. The summed quotas pre-size the pool and move buffers.
+	quota, rep, stamp := sc.quota, sc.rep, sc.stamp
 	poolCap := 0
 	for _, o := range over {
-		q := stochasticRound(rng, o.Gap*alpha)
-		vals[o.Cell] = q
-		stamp[o.Cell] = quotaE
-		poolCap += int(q)
+		if q := int(stochasticRound(rng, o.Gap*alpha)); q > 0 {
+			quota[o.Cell], stamp[o.Cell] = int32(q), quotaE
+			poolCap += q
+		}
 	}
 	if poolCap == 0 {
 		return
 	}
-	cellOf := sc.cellOf[:n]
-	if !t.stale {
-		// The scratch's cellOf belongs to whichever plan last tallied
-		// on this worker.
-		t.m.CellsInto(ds, cellOf)
+
+	// Phase 3: one ascending row pass fills the pool of movable
+	// records — the first q rows of each over cell — and finds each
+	// findable under cell's first row, the representative a duplicate
+	// move copies. It stops once both are complete.
+	for _, u := range under {
+		stamp[u.Cell], rep[u.Cell] = repE, -1
 	}
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
 	}
-	pool = kernels.PoolScan(cellOf, vals, stamp, quotaE, pool, poolCap)
+	pool = kernels.PoolRepScan(t.cells, quota, rep, stamp, quotaE, repE, pool, poolCap, t.findable)
 	sc.pool = pool
 	shufflePool(rng, pool)
 
-	// Phase 4: a representative record for each under cell enables
-	// the duplicate operation. Only under cells are mapped, and the
-	// row scan stops as soon as every findable cell has one.
-	rep := sc.rep
-	for _, u := range under {
-		stamp[u.Cell] = repE
-		rep[u.Cell] = -1
-	}
-	kernels.RepScan(cellOf, rep, stamp, repE, t.findable)
-
-	// Phase 5: the moves.
+	// Phase 4: the moves.
 	nAttrs := ds.NumAttrs()
 	moves := plan.moves[:0]
 	if cap(moves) < poolCap {
@@ -436,17 +562,16 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 			r := pool[pi]
 			pi++
 			q, ok := 0, false
-			if v := rep[u.Cell]; v >= 0 { // stamped repE above
+			if v := rep[u.Cell]; v >= 0 { // set to -1 in phase 3
 				q, ok = int(v), true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's snapshot codes.
+				// Duplicate: capture the source row's round-start codes.
 				off := len(rowBuf)
 				for a := 0; a < nAttrs; a++ {
 					rowBuf = append(rowBuf, ds.Cols[a][q])
 				}
 				moves = append(moves, gumMove{r: r, rowOff: off})
-				plan.dups++
 			} else {
 				moves = append(moves, gumMove{r: r, cell: u.Cell, rowOff: -1})
 				rep[u.Cell] = int32(r)
@@ -460,16 +585,20 @@ func planUpdateDense(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc 
 }
 
 // classifySparse is classifyDense for the map fallback: the sorted
-// touched cells merged against the target-bearing cells, counts read
-// back from the map.
-func (t *target) classifySparse(ds *dataset.Encoded, sc *gumScratch) {
-	sc.sparseTally(ds, t.m)
-	slices.Sort(sc.touched)
+// nonzero cells of the live map merged against the target-bearing
+// cells.
+func (t *target) classifySparse(sc *gumScratch) {
+	nonzero := sc.nonzero[:0]
+	for c := range t.scur {
+		nonzero = append(nonzero, c)
+	}
+	slices.Sort(nonzero)
+	sc.nonzero = nonzero
 	over, under := t.over[:0], t.under[:0]
 	var l1 float64
 	findable := 0
 	ki, kn := 0, len(t.tcells)
-	for _, c := range sc.touched {
+	for _, c := range nonzero {
 		for ki < kn && t.tcells[ki] < c {
 			tc := t.tcells[ki]
 			gap := t.counts[tc]
@@ -480,7 +609,7 @@ func (t *target) classifySparse(ds *dataset.Encoded, sc *gumScratch) {
 		if ki < kn && t.tcells[ki] == c {
 			ki++
 		}
-		d := sc.counts[c] - t.counts[c]
+		d := float64(t.scur[c]) - t.counts[c]
 		l1 += math.Abs(d)
 		if d > gumDust {
 			over = append(over, cellGap{Cell: c, Gap: d})
@@ -502,11 +631,10 @@ func (t *target) classifySparse(ds *dataset.Encoded, sc *gumScratch) {
 // projected cell space is too large to arena. Same phase order, same
 // RNG draw sequence, byte-identical plans.
 func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
-	n := ds.NumRows()
 	rng := sc.rng
-	sc.sparseMaps(n)
+	sc.sparseMaps()
 	if t.stale {
-		t.classifySparse(ds, sc)
+		t.classifySparse(sc)
 	}
 	plan.l1 = t.l1
 	over, under := t.over, t.under
@@ -514,48 +642,43 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 		return
 	}
 
-	// Phase 3 (see planUpdateDense; quotas live in a map here).
+	// Phase 2 (see planUpdateDense; quotas live in a map here).
 	poolCap := 0
-	clear(sc.quota)
+	clear(sc.squota)
 	for _, o := range over {
-		q := stochasticRound(rng, o.Gap*alpha)
-		sc.quota[o.Cell] = q
-		poolCap += int(q)
+		if q := int(stochasticRound(rng, o.Gap*alpha)); q > 0 {
+			sc.squota[o.Cell] = q
+			poolCap += q
+		}
 	}
 	if poolCap == 0 {
 		return
 	}
-	cellOf := sc.cellOf[:n]
-	if !t.stale {
-		t.m.CellsInto(ds, cellOf)
+
+	// Phase 3 (see planUpdateDense).
+	clear(sc.srep)
+	for _, u := range under {
+		sc.srep[u.Cell] = -1
 	}
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
 	}
-	for r, want := 0, poolCap; r < n && want > 0; r++ {
-		if q, ok := sc.quota[cellOf[r]]; ok && q >= 1 {
+	for r, want, need := 0, poolCap, t.findable; r < len(t.scells) && want+need > 0; r++ {
+		c := t.scells[r]
+		if q := sc.squota[c]; q > 0 {
 			pool = append(pool, r)
-			sc.quota[cellOf[r]] = q - 1
+			sc.squota[c] = q - 1
 			want--
+		} else if v, ok := sc.srep[c]; ok && v < 0 {
+			sc.srep[c] = r
+			need--
 		}
 	}
 	sc.pool = pool
 	shufflePool(rng, pool)
 
-	// Phase 4 (see planUpdateDense).
-	clear(sc.srep)
-	for _, u := range under {
-		sc.srep[u.Cell] = -1
-	}
-	for r, needRep := 0, t.findable; r < n && needRep > 0; r++ {
-		if v, ok := sc.srep[cellOf[r]]; ok && v < 0 {
-			sc.srep[cellOf[r]] = r
-			needRep--
-		}
-	}
-
-	// Phase 5.
+	// Phase 4.
 	nAttrs := ds.NumAttrs()
 	moves := plan.moves[:0]
 	if cap(moves) < poolCap {
@@ -573,13 +696,12 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 				q, ok = v, true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's snapshot codes.
+				// Duplicate: capture the source row's round-start codes.
 				off := len(rowBuf)
 				for a := 0; a < nAttrs; a++ {
 					rowBuf = append(rowBuf, ds.Cols[a][q])
 				}
 				moves = append(moves, gumMove{r: r, rowOff: off})
-				plan.dups++
 			} else {
 				moves = append(moves, gumMove{r: r, cell: u.Cell, rowOff: -1})
 				sc.srep[u.Cell] = r
@@ -593,12 +715,15 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 }
 
 // applyPlan executes one marginal's planned moves against the live
-// dataset. Plans are applied in marginal order, so the result is
-// independent of how the planning was scheduled. codes is a
-// len ≥ len(m.Attrs) decode buffer owned by the caller.
-func applyPlan(ds *dataset.Encoded, m *marginal.Marginal, p *gumPlan, codes []int32) {
+// dataset and marks each rewritten row in moved (bit r%64 of word
+// r/64) for the tallies to fold in. Plans are applied in marginal
+// order, so the result is independent of how the planning was
+// scheduled. codes is a len ≥ len(m.Attrs) decode buffer owned by the
+// caller.
+func applyPlan(ds *dataset.Encoded, m *marginal.Marginal, p *gumPlan, codes []int32, moved []uint64) {
 	nAttrs := ds.NumAttrs()
 	for _, mv := range p.moves {
+		moved[mv.r>>6] |= 1 << (mv.r & 63)
 		if mv.rowOff >= 0 {
 			// Duplicate: copy the planned full record, preserving the
 			// correlations of attributes outside this marginal.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
@@ -115,7 +116,7 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 	// the move quotas to zero, so most late rounds move no record and
 	// a plan's classification is reused. Here {0} shares no column
 	// with the other two marginals, so with DuplicateProb 0 (every
-	// move a replace, dirtying only its own marginal's columns) some
+	// move a replace, rewriting only its own marginal's columns) some
 	// rounds reclassify one marginal and reuse another's. Every route
 	// and worker count must agree on the fingerprint of output and
 	// per-round errors. On linux/amd64, the one target where
@@ -129,19 +130,9 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 		{0.5, 0x0aff362eac0568e2},
 		{0, 0xe67f445816dfddb5},
 	}
-	routes := []struct {
-		name   string
-		mode   int
-		factor int
-	}{
-		{"dense", gumDenseForced, 8},
-		{"sparse", gumSparseForced, 8},
-		{"sort-merge", gumDenseForced, 0},
-		{"forced-sweep", gumDenseForced, 1 << 30},
-	}
 	for _, q := range quiet {
 		var first uint64
-		for _, rt := range routes {
+		for _, rt := range gumRoutes {
 			for _, workers := range []int{1, 3} {
 				gumSweepFactor = rt.factor
 				c := DefaultGUMConfig()
@@ -189,9 +180,6 @@ func samePlan(t *testing.T, tag string, got, want *gumPlan) {
 	if got.l1 != want.l1 {
 		t.Fatalf("%s: l1 = %v, want %v", tag, got.l1, want.l1)
 	}
-	if got.dups != want.dups {
-		t.Fatalf("%s: dups = %d, want %d", tag, got.dups, want.dups)
-	}
 	if len(got.moves) != len(want.moves) {
 		t.Fatalf("%s: %d moves, want %d", tag, len(got.moves), len(want.moves))
 	}
@@ -211,34 +199,49 @@ func samePlan(t *testing.T, tag string, got, want *gumPlan) {
 }
 
 // TestGumScratchEpochReuse drives one scratch arena through many
-// plans with shifting touched sets — cycling marginals and mutating
-// the dataset between rounds, the way GUM itself reuses a worker's
-// scratch — and checks every plan against a freshly allocated
-// scratch. A stale count, quota, or representative surviving an epoch
+// plans with shifting quota and representative sets — cycling
+// marginals and mutating the dataset between rounds, the way GUM
+// itself reuses a worker's scratch — and checks every plan against a
+// freshly allocated scratch, on the sweep and the sort-merge route. A
+// stale quota, representative or seen-cell stamp surviving an epoch
 // bump would surface as a plan mismatch.
 func TestGumScratchEpochReuse(t *testing.T) {
 	const rows = 600
-	ds, ms := gumEquivSetup(rows)
-	g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
-	reused := newGumScratch(rows, g.denseCells)
-	codes := make([]int32, 4)
+	defer func(f int) { gumSweepFactor = f }(gumSweepFactor)
+	for _, factor := range []int{8, 0} {
+		gumSweepFactor = factor
+		ds, ms := gumEquivSetup(rows)
+		g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
+		reused := newGumScratch(g.denseCells)
+		codes := make([]int32, 4)
+		moved := make([]uint64, (rows+63)/64)
+		for _, tg := range g.targets {
+			tg.build(ds)
+		}
 
-	var gotPlan, wantPlan gumPlan
-	for round := 0; round < 30; round++ {
-		ti := round % len(g.targets)
-		tgt := g.targets[ti]
-		seed := taskSeed(99, "gum-update", round)
+		var gotPlan, wantPlan gumPlan
+		for round := 0; round < 30; round++ {
+			tgt := g.targets[round%len(g.targets)]
+			seed := taskSeed(99, "gum-update", round)
 
-		reused.reseed(seed)
-		planUpdate(ds, tgt, 0.7, 0.5, reused, &gotPlan)
+			tgt.stale = true
+			reused.reseed(seed)
+			planUpdate(ds, tgt, 0.7, 0.5, reused, &gotPlan)
 
-		fresh := newGumScratch(rows, g.denseCells)
-		fresh.reseed(seed)
-		planUpdate(ds, tgt, 0.7, 0.5, fresh, &wantPlan)
+			tgt.stale = true
+			fresh := newGumScratch(g.denseCells)
+			fresh.reseed(seed)
+			planUpdate(ds, tgt, 0.7, 0.5, fresh, &wantPlan)
 
-		samePlan(t, "reuse", &gotPlan, &wantPlan)
-		// Mutate the dataset so the next round's touched set differs.
-		applyPlan(ds, tgt.m, &gotPlan, codes)
+			samePlan(t, fmt.Sprintf("reuse factor=%d", factor), &gotPlan, &wantPlan)
+			// Mutate the dataset so the next round's cells differ, and
+			// fold the moved rows into every tally, as run does.
+			clear(moved)
+			applyPlan(ds, tgt.m, &gotPlan, codes, moved)
+			for _, tg := range g.targets {
+				tg.foldIn(ds, moved)
+			}
+		}
 	}
 }
 
@@ -249,29 +252,31 @@ func TestGumScratchEpochWrap(t *testing.T) {
 	const rows = 600
 	ds, ms := gumEquivSetup(rows)
 	g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
-	sc := newGumScratch(rows, g.denseCells)
+	for _, tg := range g.targets {
+		tg.build(ds)
+	}
+	sc := newGumScratch(g.denseCells)
 	// Simulate ~4 billion prior plans: cells last touched by the very
 	// first epochs (1..3) still hold those stamps, and the wrap is
 	// about to reissue exactly those epoch values. Without the
 	// one-time clear, the stale stamps would read as live and the
-	// poisoned vals/rep below would leak into plans.
+	// poisoned quotas/reps below would leak into plans.
 	sc.epoch = math.MaxUint32 - 4
 	for i := range sc.stamp {
 		sc.stamp[i] = uint32(1 + i%3)
-		sc.vals[i] = 5
+		sc.quota[i] = 5
 		sc.rep[i] = 7
 	}
 
 	var gotPlan, wantPlan gumPlan
 	for round := 0; round < 6; round++ {
-		ti := round % len(g.targets)
-		tgt := g.targets[ti]
+		tgt := g.targets[round%len(g.targets)]
 		seed := taskSeed(7, "gum-update", round)
 
 		sc.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, sc, &gotPlan)
 
-		fresh := newGumScratch(rows, g.denseCells)
+		fresh := newGumScratch(g.denseCells)
 		fresh.reseed(seed)
 		planUpdate(ds, tgt, 0.7, 0.5, fresh, &wantPlan)
 
@@ -279,5 +284,108 @@ func TestGumScratchEpochWrap(t *testing.T) {
 	}
 	if sc.epoch > 18 {
 		t.Fatalf("epoch did not wrap: %d", sc.epoch)
+	}
+}
+
+// gumRoutes are the counting/classification routes GUM must agree
+// across: a dense or sparse tally, classified by the sweep or the
+// sort-merge route (gumSweepFactor 8 picks per plan, 0 forces the
+// merge, 1<<30 forces the sweep).
+var gumRoutes = []struct {
+	name   string
+	mode   int
+	factor int
+}{
+	{"dense", gumDenseForced, 8},
+	{"sparse", gumSparseForced, 8},
+	{"sort-merge", gumDenseForced, 0},
+	{"forced-sweep", gumDenseForced, 1 << 30},
+}
+
+// TestGUMLiveTallyMatchesRecount checks every target's live tally
+// against a fresh recount of the dataset after every round, on every
+// route, with and without duplicate moves, at 1 and 3 workers. The
+// check runs where the next round's plans read the tallies: after
+// plan has folded in the rows the previous apply moved. {1,2} and
+// {1,2,3} share columns, so a replace move by either changes the
+// other's cells; {0} shares none, so only duplicate moves reach it.
+func TestGUMLiveTallyMatchesRecount(t *testing.T) {
+	const rows, rounds = 1200, 30
+	ds, ms := gumEquivMarginals(rows, []int{0}, []int{1, 2}, []int{1, 2, 3})
+	defer func(f int) { gumSweepFactor = f }(gumSweepFactor)
+	for _, rt := range gumRoutes {
+		for _, dup := range []float64{0, 0.5} {
+			for _, workers := range []int{1, 3} {
+				gumSweepFactor = rt.factor
+				c := DefaultGUMConfig()
+				c.DuplicateProb, c.Seed, c.Workers, c.denseMode = dup, 5, workers, rt.mode
+				d := cloneEncoded(ds)
+				g := NewGUM(ms, rows, c)
+				rs := g.newRounds(d, newEngine(workers))
+				alpha := c.InitAlpha
+				for it := 0; it <= rounds; it++ {
+					rs.plan(it, alpha)
+					checkTallies(t, fmt.Sprintf("%s dup=%v workers=%d round %d", rt.name, dup, workers, it), d, g)
+					rs.apply()
+					alpha *= c.AlphaDecay
+				}
+			}
+		}
+	}
+}
+
+// checkTallies recounts every target's marginal over ds and requires
+// the live tally to match it exactly: each row's cell, each cell's
+// count (with no zero entries left in a sparse map), the nonzero-cell
+// count, and the L1 error of the kept classification, summed in
+// ascending cell order as the classification sums it.
+func checkTallies(t *testing.T, tag string, ds *dataset.Encoded, g *GUM) {
+	t.Helper()
+	cellOf := make([]int, ds.NumRows())
+	for ti, tg := range g.targets {
+		tg.m.CellsInto(ds, cellOf)
+		want := make([]int, len(tg.counts))
+		nonzero := 0
+		for r, c := range cellOf {
+			got := 0
+			if tg.dense {
+				got = int(tg.cells[r])
+			} else {
+				got = tg.scells[r]
+			}
+			if got != c {
+				t.Fatalf("%s: target %d row %d: live cell %d, recount %d", tag, ti, r, got, c)
+			}
+			if want[c] == 0 {
+				nonzero++
+			}
+			want[c]++
+		}
+		var l1 float64
+		for c, w := range want {
+			got := 0
+			if tg.dense {
+				got = int(tg.cur[c])
+			} else {
+				got = tg.scur[c]
+			}
+			if got != w {
+				t.Fatalf("%s: target %d cell %d: live count %d, recount %d", tag, ti, c, got, w)
+			}
+			if w > 0 {
+				l1 += math.Abs(float64(w) - tg.counts[c])
+			} else if tg.counts[c] > gumDust {
+				l1 += tg.counts[c]
+			}
+		}
+		if tg.nonzero != nonzero {
+			t.Fatalf("%s: target %d: %d nonzero cells, recount %d", tag, ti, tg.nonzero, nonzero)
+		}
+		if !tg.dense && len(tg.scur) != nonzero {
+			t.Fatalf("%s: target %d: sparse map holds %d cells, %d nonzero", tag, ti, len(tg.scur), nonzero)
+		}
+		if tg.l1 != l1 {
+			t.Fatalf("%s: target %d: classification l1 %v, recount %v", tag, ti, tg.l1, l1)
+		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 
 	"github.com/netdpsyn/netdpsyn/internal/core/kernels"
-	"github.com/netdpsyn/netdpsyn/internal/dataset"
-	"github.com/netdpsyn/netdpsyn/internal/marginal"
 )
 
 // gumDust is the gap below which a cell's deficit or excess cannot be
@@ -22,13 +20,13 @@ const gumDust = 0.5
 const gumDenseCellFloor = 1 << 20
 
 // gumSweepFactor gates the linear gap sweep: when the marginal's cell
-// space is at most this many times the touched+target set, a single
-// ascending pass over the arena (kernels.GapSweep) replaces the
-// per-plan sort of the touched cells — the sort was ~a third of gum
-// wall. Beyond that the touched set is sorted and merged instead
-// (kernels.GapMerge); both orders are ascending-cell, so the plans
-// are byte-identical. Var, not const: the equivalence tests pin it to
-// 0 / huge to force each path.
+// space is at most this many times its nonzero+target cells, a single
+// ascending pass over the live counts (kernels.GapSweep) classifies
+// every cell without sorting — the per-plan sort was ~a third of gum
+// wall. Beyond that the nonzero cells are collected from the rows,
+// sorted and merged instead (kernels.GapMerge); both orders are
+// ascending-cell, so the plans are byte-identical. Var, not const:
+// the equivalence tests pin it to 0 / huge to force each path.
 var gumSweepFactor = 8
 
 // cellGap is one cell's distance from its target count.
@@ -39,25 +37,24 @@ type cellGap = kernels.CellGap
 // (round, marginal) plan handed to that worker slot, so steady-state
 // planUpdate allocates ~nothing: every slice below is reset by
 // re-slicing to zero length, and the dense arrays are "cleared" by an
-// epoch bump (O(touched cells), not O(cell space)).
+// epoch bump (O(cells stamped), not O(cell space)).
 //
-// The arena carries only buffers, never values: planUpdate's output
-// is a pure function of (snapshot, target, alpha, seed), so which
-// worker's scratch served a task cannot perturb the plan (the engine
-// determinism contract, see parallelForWorker).
+// The arena carries only buffers, never values: a plan's output is a
+// pure function of (dataset, target, alpha, seed), so which worker's
+// scratch served a task cannot perturb the plan (the engine
+// determinism contract, see parallelForWorker). The current counts
+// live in each target's tally, not here.
 type gumScratch struct {
-	cellOf  []int // current cell of every snapshot row
-	touched []int // cells with nonzero current count, first-touch order
+	nonzero []int // a target's live cells, sorted (merge and sparse routes)
 	pool    []int // movable rows drawn from over cells
 
 	// Dense arena, sized to the largest dense-eligible marginal's
-	// cell space. vals holds per-cell counts during the tally and
-	// per-cell move quotas during the pool scan. rep holds each under
-	// cell's representative row (-1 = under member with no rep yet).
+	// cell space. quota holds each over cell's remaining move quota
+	// and rep each under cell's representative row (-1 = none yet).
 	// stamp gates every read: a cell is live only while stamp[c]
 	// matches the current phase's epoch, so nothing is ever zeroed
 	// wholesale between plans.
-	vals  []float64
+	quota []int32
 	rep   []int32
 	stamp []uint32
 	epoch uint32
@@ -65,9 +62,8 @@ type gumScratch struct {
 	// Sparse fallback for marginals whose projected cell space is too
 	// large to arena, allocated by the first sparse plan. The maps are
 	// cleared per use; iteration order never reaches the output
-	// (touched cells are extracted and sorted before any ordered use).
-	counts map[int]float64
-	quota  map[int]float64
+	// (nonzero cells are extracted and sorted before any ordered use).
+	squota map[int]int
 	srep   map[int]int
 
 	// Per-plan RNG, reseeded for every (round, marginal) task so
@@ -76,17 +72,13 @@ type gumScratch struct {
 	rng *rand.Rand
 }
 
-// newGumScratch sizes an arena for rows-record plans; denseCells is
-// the largest dense marginal's cell space (0 if every marginal takes
-// the sparse path).
-func newGumScratch(rows, denseCells int) *gumScratch {
-	sc := &gumScratch{
-		cellOf: make([]int, rows),
-		pcg:    rand.NewPCG(0, 0),
-	}
+// newGumScratch sizes an arena for plans over marginals of at most
+// denseCells cells (0 if every marginal takes the sparse path).
+func newGumScratch(denseCells int) *gumScratch {
+	sc := &gumScratch{pcg: rand.NewPCG(0, 0)}
 	sc.rng = rand.New(sc.pcg)
 	if denseCells > 0 {
-		sc.vals = make([]float64, denseCells)
+		sc.quota = make([]int32, denseCells)
 		sc.rep = make([]int32, denseCells)
 		sc.stamp = make([]uint32, denseCells)
 	}
@@ -101,14 +93,16 @@ func (sc *gumScratch) reseed(seed uint64) {
 }
 
 // phases advances the arena epoch for one plan and returns the three
-// phase stamps: countE marks tallied cells, quotaE marks over cells
-// holding move quotas, repE marks under cells holding representative
-// rows. The phases run strictly in that order within planUpdate and
-// over/under cells are disjoint, so later stamps only ever overwrite
-// state the plan has finished reading. Near uint32 wraparound the
-// stamp array is zeroed once so a stale stamp from ~4 billion plans
-// ago cannot read as live.
-func (sc *gumScratch) phases() (countE, quotaE, repE uint32) {
+// phase stamps: seenE marks cells already collected by the merge
+// route's nonzero scan, quotaE marks over cells holding move quotas,
+// repE marks under cells awaiting a representative row. The phases run
+// strictly in that order within planUpdate and over/under cells are
+// disjoint, so later stamps only ever overwrite state the plan has
+// finished reading. Epochs start at 1: the pool/representative scan
+// clears a finished cell's stamp to 0, which is never an epoch. Near
+// uint32 wraparound the stamp array is zeroed once so a stale stamp
+// from ~4 billion plans ago cannot read as live.
+func (sc *gumScratch) phases() (seenE, quotaE, repE uint32) {
 	if sc.epoch > math.MaxUint32-3 {
 		clear(sc.stamp)
 		sc.epoch = 0
@@ -117,54 +111,12 @@ func (sc *gumScratch) phases() (countE, quotaE, repE uint32) {
 	return sc.epoch - 2, sc.epoch - 1, sc.epoch
 }
 
-// denseTally fills cellOf with every snapshot row's flattened cell
-// and tallies the counts into the arena at countE, leaving
-// sc.touched holding every nonzero cell (unsorted, first-touch
-// order). The stride accumulation and the count pass are fused into
-// ONE row sweep through the kernels package — not len(Attrs)
-// accumulation passes plus a count pass.
-func (sc *gumScratch) denseTally(ds *dataset.Encoded, m *marginal.Marginal, countE uint32) {
-	cellOf := sc.cellOf[:ds.NumRows()]
-	touched := sc.touched[:0]
-	attrs, strides := m.Attrs, m.Strides()
-	switch len(attrs) {
-	case 2:
-		touched = kernels.Cells2Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			strides[0], sc.vals, sc.stamp, countE, touched)
-	case 3:
-		touched = kernels.Cells3Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			ds.Cols[attrs[2]], strides[0], strides[1], sc.vals, sc.stamp, countE, touched)
-	default:
-		m.CellsInto(ds, cellOf)
-		touched = kernels.Tally(cellOf, sc.vals, sc.stamp, countE, touched)
-	}
-	sc.touched = touched
-}
-
 // sparseMaps allocates the sparse fallback's maps on this scratch's
 // first sparse plan, so a run whose marginals are all dense never
 // builds them.
-func (sc *gumScratch) sparseMaps(rows int) {
-	if sc.counts == nil {
-		sc.counts = make(map[int]float64, rows)
-		sc.quota = make(map[int]float64)
+func (sc *gumScratch) sparseMaps() {
+	if sc.squota == nil {
+		sc.squota = make(map[int]int)
 		sc.srep = make(map[int]int)
 	}
-}
-
-// sparseTally is denseTally's fallback for cell spaces too large to
-// arena: counts live in a map, then the touched set is extracted so
-// the caller can order it deterministically.
-func (sc *gumScratch) sparseTally(ds *dataset.Encoded, m *marginal.Marginal) {
-	cellOf := sc.cellOf[:ds.NumRows()]
-	m.CellsInto(ds, cellOf)
-	clear(sc.counts)
-	for _, c := range cellOf {
-		sc.counts[c]++
-	}
-	touched := sc.touched[:0]
-	for c := range sc.counts {
-		touched = append(touched, c)
-	}
-	sc.touched = touched
 }

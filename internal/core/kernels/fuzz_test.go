@@ -2,95 +2,79 @@ package kernels
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
-// FuzzKernelTally feeds arbitrary encoded rows through the 8-lane
-// tally kernels and the reference loops and requires byte-identical
-// results: same cellOf, same touched order, same counts, same stamps.
-// The CI fuzz-smoke job runs this for a bounded time.
-func FuzzKernelTally(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(5), uint8(3), uint8(2))
-	f.Add([]byte{}, uint8(1), uint8(1), uint8(1))
-	f.Add(bytes.Repeat([]byte{0xff, 0, 7}, 23), uint8(16), uint8(9), uint8(4))
-	f.Fuzz(func(t *testing.T, raw []byte, d0, d1, d2 uint8) {
-		// Decode the fuzz input into three attribute columns over
-		// small domains; every byte lands in range, so all inputs are
-		// valid encoded rows.
-		doms := [3]int{int(d0%32) + 1, int(d1%32) + 1, int(d2%32) + 1}
-		n := len(raw) / 3
-		cols := make([][]int32, 3)
-		for i := range cols {
-			cols[i] = make([]int32, n)
-			for r := 0; r < n; r++ {
-				cols[i][r] = int32(int(raw[r*3+i]) % doms[i])
+// FuzzKernelSweepScan feeds arbitrary rows through the kernels GUM's
+// planning pass runs and requires byte-identical results: the
+// live-count gap sweep against its reference and against the merge
+// route, then the one-pass donor/representative scan (with quotas and
+// representatives stamped from that classification) against its
+// reference. The CI fuzz-smoke job runs this for a bounded time.
+func FuzzKernelSweepScan(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(5), uint8(3))
+	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff, 0, 7}, 23), uint8(16), uint8(9))
+	f.Fuzz(func(t *testing.T, raw []byte, d0, d1 uint8) {
+		// Every byte is a row whose cell lands in range, so all inputs
+		// are valid tallies; the targets come from the bytes too.
+		cells := int(d0%64) + 1
+		cellOf := make([]int32, len(raw))
+		live := make([]int32, cells)
+		for r, b := range raw {
+			c := int32(int(b) % cells)
+			cellOf[r] = c
+			live[c]++
+		}
+		counts := make([]float64, cells)
+		var nonzero, tcells []int
+		for c := range counts {
+			if len(raw) > 0 {
+				counts[c] = float64(raw[(c*int(d1|1))%len(raw)]%16) / 3
+			}
+			if counts[c] > 0.5 {
+				tcells = append(tcells, c)
+			}
+			if live[c] > 0 {
+				nonzero = append(nonzero, c)
 			}
 		}
-		cells := doms[0] * doms[1] * doms[2]
-		s1 := doms[2]
-		s0 := doms[1] * s1
-		const epoch = 3
-
-		check := func(tag string, cellOf, refCellOf, touched, refTouched []int, vals, refVals []float64, stamp, refStamp []uint32) {
-			t.Helper()
-			if !intsEqual(cellOf, refCellOf) {
-				t.Fatalf("%s: cellOf diverges", tag)
-			}
-			if !intsEqual(touched, refTouched) {
-				t.Fatalf("%s: touched diverges", tag)
-			}
-			for c := 0; c < cells; c++ {
-				if stamp[c] != refStamp[c] {
-					t.Fatalf("%s: stamp[%d] = %d, reference %d", tag, c, stamp[c], refStamp[c])
-				}
-				if stamp[c] == epoch && vals[c] != refVals[c] {
-					t.Fatalf("%s: vals[%d] = %v, reference %v", tag, c, vals[c], refVals[c])
-				}
-			}
+		over, under, l1 := GapSweep(live, counts, tcells, 0.5, nil, nil)
+		rO, rU, rL1 := refGapSweep(live, counts, tcells, 0.5, nil, nil)
+		if l1 != rL1 || !slices.Equal(over, rO) || !slices.Equal(under, rU) {
+			t.Fatal("GapSweep diverges from reference")
+		}
+		mO, mU, mL1 := GapMerge(nonzero, live, counts, tcells, 0.5, nil, nil)
+		if mL1 != l1 || !slices.Equal(mO, over) || !slices.Equal(mU, under) {
+			t.Fatal("GapMerge diverges from GapSweep")
 		}
 
-		// 3-way fused kernel.
-		cellOf := make([]int, n)
-		refCellOf := make([]int, n)
-		vals := make([]float64, cells)
-		refVals := make([]float64, cells)
+		const quotaE, repE = 7, 8
+		quota := make([]int32, cells)
+		rep := make([]int32, cells)
 		stamp := make([]uint32, cells)
-		refStamp := make([]uint32, cells)
-		touched := Cells3Tally(cellOf, cols[0], cols[1], cols[2], s0, s1, vals, stamp, epoch, nil)
-		refTouched := refCells3Tally(refCellOf, cols[0], cols[1], cols[2], s0, s1, refVals, refStamp, epoch, nil)
-		check("Cells3Tally", cellOf, refCellOf, touched, refTouched, vals, refVals, stamp, refStamp)
-
-		// 2-way fused kernel over the first two columns.
-		cells2 := doms[0] * doms[1]
-		vals2 := make([]float64, cells2)
-		refVals2 := make([]float64, cells2)
-		stamp2 := make([]uint32, cells2)
-		refStamp2 := make([]uint32, cells2)
-		touched = Cells2Tally(cellOf, cols[0], cols[1], doms[1], vals2, stamp2, epoch, nil)
-		refTouched = refCells2Tally(refCellOf, cols[0], cols[1], doms[1], refVals2, refStamp2, epoch, nil)
-		if !intsEqual(cellOf, refCellOf) || !intsEqual(touched, refTouched) {
-			t.Fatal("Cells2Tally diverges")
+		want, need := 0, 0
+		for i, o := range over {
+			if q := int32(1 + (i+int(d1))%3); q <= int32(o.Gap)+1 {
+				quota[o.Cell], stamp[o.Cell] = q, quotaE
+				want += int(q)
+			}
 		}
-
-		// Plain tally over the precomputed 3-way cells.
-		clear(vals)
-		clear(stamp)
-		clear(refVals)
-		clear(refStamp)
-		touched = Tally(refCellOf, vals, stamp, epoch, nil)
-		refTouched = refTally(refCellOf, refVals, refStamp, epoch, nil)
-		check("Tally", refCellOf, refCellOf, touched, refTouched, vals, refVals, stamp, refStamp)
+		for _, u := range under {
+			rep[u.Cell], stamp[u.Cell] = -1, repE
+			if live[u.Cell] > 0 {
+				need++
+			}
+		}
+		refQuota, refRep, refStamp := slices.Clone(quota), slices.Clone(rep), slices.Clone(stamp)
+		pool := PoolRepScan(cellOf, quota, rep, stamp, quotaE, repE, nil, want, need)
+		refPool := refPoolRepScan(cellOf, refQuota, refRep, refStamp, quotaE, repE, nil, want, need)
+		if !slices.Equal(pool, refPool) {
+			t.Fatalf("PoolRepScan pool diverges: %v vs %v", pool, refPool)
+		}
+		if !slices.Equal(rep, refRep) || !slices.Equal(quota, refQuota) || !slices.Equal(stamp, refStamp) {
+			t.Fatal("PoolRepScan arenas diverge from reference")
+		}
 	})
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

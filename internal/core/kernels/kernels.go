@@ -1,16 +1,18 @@
 // Package kernels holds the innermost row- and cell-sweep loops of
-// GUM planning and marginal tallying — the memory-bound hot paths
+// GUM planning and marginal cell indexing — the memory-bound hot paths
 // under the synthesis stage (~90% of end-to-end runtime, §3.1 of the
-// paper).
+// paper): the cell-index passes, the over/under gap sweep over a
+// marginal's live counts (and its sort-merge twin), and the one row
+// pass that fills the donor pool and finds representatives.
 //
 // There is one implementation (opt.go): 8-lane unrolled,
-// bounds-check-hinted loops, plus a windowed fast-skip in the gap
-// sweep. ref.go keeps the straight-line reference loops as its
-// oracle. The two are byte-identical by contract — same counts, same
-// touched/over/under/pool contents in the same order, same float
-// accumulation order — and the in-package equivalence tests and
-// FuzzKernelTally compare every exported kernel against its reference
-// in-process.
+// bounds-check-hinted loops and a windowed fast-skip in the gap sweep
+// where a measurement showed they pay, and the reference loop itself
+// where none did (the merge and the pool/representative scan). ref.go
+// keeps the straight-line reference loops as its oracle. The two are byte-identical by contract — same
+// over/under/pool contents in the same order, same float accumulation
+// order — and the in-package equivalence tests and FuzzKernelSweepScan
+// compare every exported kernel against its reference in-process.
 package kernels
 
 // CellGap is one cell's distance from its target count. GUM's

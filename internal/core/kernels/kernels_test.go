@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -52,102 +53,32 @@ func TestCellsMatchReference(t *testing.T) {
 	}
 }
 
-// arena is a pair of tally arenas (kernel under test vs reference)
-// over the same cell space.
-type arena struct {
-	vals, refVals   []float64
-	stamp, refStamp []uint32
-	epoch           uint32
-}
-
-func newArena(cells int, epoch uint32) *arena {
-	return &arena{
-		vals:     make([]float64, cells),
-		refVals:  make([]float64, cells),
-		stamp:    make([]uint32, cells),
-		refStamp: make([]uint32, cells),
-		epoch:    epoch,
-	}
-}
-
-func (a *arena) check(t *testing.T, tag string, touched, refTouched []int) {
-	t.Helper()
-	if !slices.Equal(touched, refTouched) {
-		t.Fatalf("%s: touched diverges from reference: %v vs %v", tag, touched, refTouched)
-	}
-	if !slices.Equal(a.stamp, a.refStamp) {
-		t.Fatalf("%s: stamp arena diverges from reference", tag)
-	}
-	for c := range a.vals {
-		if a.stamp[c] == a.epoch && a.vals[c] != a.refVals[c] {
-			t.Fatalf("%s: vals[%d] = %v, reference %v", tag, c, a.vals[c], a.refVals[c])
-		}
-	}
-}
-
-func TestTallyMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	const cells = 16 * 9 * 11
-	for _, n := range rowCases {
-		cols := randCols(rng, n, 16, 9, 11)
-		cellOf := make([]int, n)
-		refCellOf := make([]int, n)
-
-		// 2-way fused.
-		a := newArena(cells, 7)
-		got := Cells2Tally(cellOf, cols[0], cols[1], 9, a.vals, a.stamp, a.epoch, nil)
-		want := refCells2Tally(refCellOf, cols[0], cols[1], 9, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, "Cells2Tally", got, want)
-		if !slices.Equal(cellOf, refCellOf) {
-			t.Fatal("Cells2Tally cellOf diverges")
-		}
-
-		// 3-way fused.
-		a = newArena(cells, 9)
-		got = Cells3Tally(cellOf, cols[0], cols[1], cols[2], 99, 11, a.vals, a.stamp, a.epoch, nil)
-		want = refCells3Tally(refCellOf, cols[0], cols[1], cols[2], 99, 11, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, "Cells3Tally", got, want)
-		if !slices.Equal(cellOf, refCellOf) {
-			t.Fatal("Cells3Tally cellOf diverges")
-		}
-
-		// Plain tally over precomputed cells.
-		a = newArena(cells, 11)
-		got = Tally(cellOf, a.vals, a.stamp, a.epoch, nil)
-		want = refTally(refCellOf, a.refVals, a.refStamp, a.epoch, nil)
-		a.check(t, "Tally", got, want)
-	}
-}
-
 func TestGapSweepMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, cells := range []int{0, 1, 8, 9, 100, 1584} {
 		for trial := 0; trial < 20; trial++ {
-			const epoch = 21
-			vals := make([]float64, cells)
-			stamp := make([]uint32, cells)
+			live := make([]int32, cells)
 			counts := make([]float64, cells)
-			var touched, tcells []int
+			var nonzero, tcells []int
 			for c := 0; c < cells; c++ {
 				if rng.Float64() < 0.4 {
-					stamp[c] = epoch
-					vals[c] = float64(rng.IntN(50))
-					touched = append(touched, c)
+					live[c] = int32(1 + rng.IntN(50))
+					nonzero = append(nonzero, c)
 				}
 				counts[c] = rng.Float64() * 40
 				if counts[c] > 0.5 {
 					tcells = append(tcells, c)
 				}
 			}
-			gotO, gotU, gotL1 := GapSweep(vals, stamp, epoch, counts, tcells, 0.5, nil, nil)
-			wantO, wantU, wantL1 := refGapSweep(vals, stamp, epoch, counts, tcells, 0.5, nil, nil)
+			gotO, gotU, gotL1 := GapSweep(live, counts, tcells, 0.5, nil, nil)
+			wantO, wantU, wantL1 := refGapSweep(live, counts, tcells, 0.5, nil, nil)
 			if gotL1 != wantL1 || !slices.Equal(gotO, wantO) || !slices.Equal(gotU, wantU) {
 				t.Fatalf("GapSweep(cells=%d) diverges from reference", cells)
 			}
-			// The merge route over the sorted touched set must agree
+			// The merge route over the sorted nonzero cells must agree
 			// with the sweep byte for byte — that is planUpdate's
 			// route-independence contract.
-			mO, mU, mL1 := GapMerge(touched, vals, counts, tcells, 0.5, nil, nil)
+			mO, mU, mL1 := GapMerge(nonzero, live, counts, tcells, 0.5, nil, nil)
 			if mL1 != wantL1 || !slices.Equal(mO, wantO) || !slices.Equal(mU, wantU) {
 				t.Fatalf("GapMerge(cells=%d) diverges from GapSweep", cells)
 			}
@@ -155,53 +86,81 @@ func TestGapSweepMatchReference(t *testing.T) {
 	}
 }
 
+// scanCase is one PoolRepScan input: row cells, stamped quotas over
+// some cells and unresolved representatives over a disjoint set.
+type scanCase struct {
+	cellOf       []int32
+	quota, rep   []int32
+	stamp        []uint32
+	want, need   int
+	quotaE, repE uint32
+}
+
+// clone deep-copies the arenas the scan mutates.
+func (sc scanCase) clone() scanCase {
+	sc.quota = slices.Clone(sc.quota)
+	sc.rep = slices.Clone(sc.rep)
+	sc.stamp = slices.Clone(sc.stamp)
+	return sc
+}
+
+// checkPoolRepScan runs the kernel and its reference on copies of one
+// case and requires the same pool, representatives, leftover quotas
+// and stamps.
+func checkPoolRepScan(t *testing.T, tag string, in scanCase) {
+	t.Helper()
+	got, want := in.clone(), in.clone()
+	gotPool := PoolRepScan(got.cellOf, got.quota, got.rep, got.stamp, got.quotaE, got.repE, nil, got.want, got.need)
+	wantPool := refPoolRepScan(want.cellOf, want.quota, want.rep, want.stamp, want.quotaE, want.repE, nil, want.want, want.need)
+	if !slices.Equal(gotPool, wantPool) {
+		t.Fatalf("%s: pool diverges from reference: %v vs %v", tag, gotPool, wantPool)
+	}
+	if !slices.Equal(got.rep, want.rep) || !slices.Equal(got.quota, want.quota) || !slices.Equal(got.stamp, want.stamp) {
+		t.Fatalf("%s: rep/quota/stamp arenas diverge from reference", tag)
+	}
+}
+
 func TestPoolRepScanMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	const cells = 97
 	for _, n := range rowCases {
-		cellOf := make([]int, n)
-		for r := range cellOf {
-			cellOf[r] = rng.IntN(cells)
-		}
-		const epoch = 31
-		vals := make([]float64, cells)
-		refVals := make([]float64, cells)
-		stamp := make([]uint32, cells)
-		want := 0
-		for c := 0; c < cells; c++ {
-			if rng.Float64() < 0.3 {
-				q := rng.IntN(4)
-				stamp[c] = epoch
-				vals[c], refVals[c] = float64(q), float64(q)
-				want += q
+		for trial := 0; trial < 5; trial++ {
+			in := scanCase{
+				cellOf: make([]int32, n),
+				quota:  make([]int32, cells),
+				rep:    make([]int32, cells),
+				stamp:  make([]uint32, cells),
+				quotaE: 31,
+				repE:   32,
 			}
-		}
-		gotPool := PoolScan(cellOf, vals, stamp, epoch, nil, want)
-		wantPool := refPoolScan(cellOf, refVals, stamp, epoch, nil, want)
-		if !slices.Equal(gotPool, wantPool) {
-			t.Fatalf("PoolScan(n=%d) diverges from reference", n)
-		}
-		for c := range vals {
-			if stamp[c] == epoch && vals[c] != refVals[c] {
-				t.Fatalf("PoolScan leftover quota at cell %d: %v vs %v", c, vals[c], refVals[c])
+			for r := range in.cellOf {
+				in.cellOf[r] = int32(rng.IntN(cells))
 			}
-		}
-
-		rep := make([]int32, cells)
-		refRep := make([]int32, cells)
-		rstamp := make([]uint32, cells)
-		need := 0
-		for c := 0; c < cells; c++ {
-			rep[c], refRep[c] = -1, -1
-			if rng.Float64() < 0.3 {
-				rstamp[c] = epoch
-				need++
+			seen := make([]bool, cells)
+			for _, c := range in.cellOf {
+				seen[c] = true
 			}
-		}
-		RepScan(cellOf, rep, rstamp, epoch, need)
-		refRepScan(cellOf, refRep, rstamp, epoch, need)
-		if !slices.Equal(rep, refRep) {
-			t.Fatalf("RepScan(n=%d) diverges from reference", n)
+			for c := 0; c < cells; c++ {
+				in.rep[c] = -1
+				switch u := rng.Float64(); {
+				case u < 0.3:
+					in.stamp[c] = in.quotaE
+					in.quota[c] = int32(1 + rng.IntN(4))
+					in.want += int(in.quota[c])
+				case u < 0.6:
+					in.stamp[c] = in.repE
+					if seen[c] {
+						in.need++
+					}
+				default:
+					in.stamp[c] = uint32(rng.IntN(30)) // an older plan's epoch
+				}
+			}
+			checkPoolRepScan(t, fmt.Sprintf("n=%d trial=%d", n, trial), in)
+			// A quota larger than its cell's rows leaves the pool short,
+			// so the scan must run to the last row.
+			in.want += n
+			checkPoolRepScan(t, fmt.Sprintf("n=%d trial=%d short", n, trial), in)
 		}
 	}
 }

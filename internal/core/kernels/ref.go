@@ -4,7 +4,7 @@ import "math"
 
 // This file holds the straight-line reference implementation of every
 // kernel: the oracle the unrolled bodies in opt.go are held to. The
-// equivalence tests and FuzzKernelTally compare against these loops
+// equivalence tests and FuzzKernelSweepScan compare against these loops
 // in-process. Any change here changes the contract — keep the loops
 // boring.
 
@@ -36,82 +36,31 @@ func refAccumStride(out []int, col []int32, s int, init bool) {
 	}
 }
 
-// refTally counts rows per cell into the epoch-stamped arena:
-// a cell seen for the first time this epoch is stamped, set to 1 and
-// appended to touched (in first-seen row order); later hits
-// increment. Returns the grown touched slice.
-func refTally(cells []int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
-	for _, c := range cells {
-		if stamp[c] != epoch {
-			stamp[c] = epoch
-			vals[c] = 1
-			touched = append(touched, c)
-		} else {
-			vals[c]++
-		}
-	}
-	return touched
-}
-
-// refCells2Tally fuses refCells2 with refTally, recording each row's
-// cell in cellOf on the way through.
-func refCells2Tally(cellOf []int, a, b []int32, s0 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
-	for r := range cellOf {
-		c := int(a[r])*s0 + int(b[r])
-		cellOf[r] = c
-		if stamp[c] != epoch {
-			stamp[c] = epoch
-			vals[c] = 1
-			touched = append(touched, c)
-		} else {
-			vals[c]++
-		}
-	}
-	return touched
-}
-
-// refCells3Tally is the three-attribute analogue of refCells2Tally.
-func refCells3Tally(cellOf []int, a, b, c []int32, s0, s1 int, vals []float64, stamp []uint32, epoch uint32, touched []int) []int {
-	for r := range cellOf {
-		cc := int(a[r])*s0 + int(b[r])*s1 + int(c[r])
-		cellOf[r] = cc
-		if stamp[cc] != epoch {
-			stamp[cc] = epoch
-			vals[cc] = 1
-			touched = append(touched, cc)
-		} else {
-			vals[cc]++
-		}
-	}
-	return touched
-}
-
-// refGapSweep walks every cell of the dense arena in ascending order,
-// classifying each against its target count: cells counted this
-// epoch (stamp == epoch) contribute their signed gap, target cells
-// never counted contribute their full target as an under gap, and
-// cells that are neither are skipped. tcells must be the ascending
-// list of cells with target > dust. Gaps within ±dust of zero are
-// excluded from over/under (they still count toward l1), matching
-// GUM's dust rule. The l1 accumulation order is ascending-cell,
-// identical to refGapMerge over the same union.
-func refGapSweep(vals []float64, stamp []uint32, epoch uint32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+// refGapSweep walks every cell in ascending order, classifying each
+// against its target count: a live cell (live[c] > 0 rows) contributes
+// its signed gap, a target cell with no rows contributes its full
+// target as an under gap, and cells that are neither are skipped.
+// tcells must be the ascending list of cells with target > dust. Gaps
+// within ±dust of zero are excluded from over/under (they still count
+// toward l1), matching GUM's dust rule. The l1 accumulation order is
+// ascending-cell, identical to refGapMerge over the same cells.
+func refGapSweep(live []int32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	var l1 float64
 	ki, kn := 0, len(tcells)
 	for c := range counts {
-		live := stamp[c] == epoch
+		isLive := live[c] > 0
 		if ki < kn && tcells[ki] == c {
 			ki++
-			if !live {
+			if !isLive {
 				gap := counts[c]
 				l1 += gap
 				under = append(under, CellGap{c, gap})
 				continue
 			}
-		} else if !live {
+		} else if !isLive {
 			continue
 		}
-		d := vals[c] - counts[c]
+		d := float64(live[c]) - counts[c]
 		l1 += math.Abs(d)
 		if d > dust {
 			over = append(over, CellGap{c, d})
@@ -123,13 +72,13 @@ func refGapSweep(vals []float64, stamp []uint32, epoch uint32, counts []float64,
 }
 
 // refGapMerge is the sort-based twin of refGapSweep for cell spaces
-// too large to sweep linearly: touched must be the ascending sorted
-// list of cells counted this epoch; it is merged against tcells.
-// Byte-identical to refGapSweep on the same arena.
-func refGapMerge(touched []int, vals []float64, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
+// too large to sweep linearly: nonzero must be the ascending list of
+// live cells; it is merged against tcells. Byte-identical to
+// refGapSweep over the same counts.
+func refGapMerge(nonzero []int, live []int32, counts []float64, tcells []int, dust float64, over, under []CellGap) ([]CellGap, []CellGap, float64) {
 	var l1 float64
 	ki, kn := 0, len(tcells)
-	for _, c := range touched {
+	for _, c := range nonzero {
 		for ki < kn && tcells[ki] < c {
 			tc := tcells[ki]
 			gap := counts[tc]
@@ -140,7 +89,7 @@ func refGapMerge(touched []int, vals []float64, counts []float64, tcells []int, 
 		if ki < kn && tcells[ki] == c {
 			ki++
 		}
-		d := vals[c] - counts[c]
+		d := float64(live[c]) - counts[c]
 		l1 += math.Abs(d)
 		if d > dust {
 			over = append(over, CellGap{c, d})
@@ -157,32 +106,33 @@ func refGapMerge(touched []int, vals []float64, counts []float64, tcells []int, 
 	return over, under, l1
 }
 
-// refPoolScan collects donor rows in row order: a row whose cell
-// still has quota (stamp == epoch, vals >= 1) joins the pool and
-// decrements the quota. want is the summed quota — once that many
-// rows are pooled every quota is zero and no later row can qualify,
-// so stopping early is invisible in the output. Row order is part of
-// the determinism contract — the pool feeds a seeded shuffle
-// downstream.
-func refPoolScan(cellOf []int, vals []float64, stamp []uint32, epoch uint32, pool []int, want int) []int {
-	for r := 0; r < len(cellOf) && want > 0; r++ {
-		if c := cellOf[r]; stamp[c] == epoch && vals[c] >= 1 {
-			vals[c]--
+// refPoolRepScan walks the rows in ascending order once, filling the
+// donor pool and finding representatives together. A row whose cell
+// is stamped quotaE joins the pool and uses up one unit of the cell's
+// quota (every stamped quota starts ≥ 1); when the quota runs out the
+// cell's stamp is cleared to 0, which callers never use as an epoch.
+// A row whose cell is stamped repE becomes that cell's representative,
+// and its stamp is cleared the same way. Over and under cells are
+// disjoint, so no cell carries both stamps. want is the
+// summed quota and need the number of under cells that hold a row:
+// once both are used up no later row can qualify, so stopping early
+// is invisible in the output. Row order is part of the determinism
+// contract — the pool feeds a seeded shuffle downstream.
+func refPoolRepScan(cellOf []int32, quota, rep []int32, stamp []uint32, quotaE, repE uint32, pool []int, want, need int) []int {
+	for r := 0; r < len(cellOf) && want+need > 0; r++ {
+		c := cellOf[r]
+		switch stamp[c] {
+		case quotaE:
 			pool = append(pool, r)
 			want--
-		}
-	}
-	return pool
-}
-
-// refRepScan finds the first representative row for each stamped
-// cell (rep preset to -1), stopping early once need cells are
-// resolved.
-func refRepScan(cellOf []int, rep []int32, stamp []uint32, epoch uint32, need int) {
-	for r := 0; r < len(cellOf) && need > 0; r++ {
-		if c := cellOf[r]; stamp[c] == epoch && rep[c] < 0 {
+			if quota[c]--; quota[c] == 0 {
+				stamp[c] = 0
+			}
+		case repE:
 			rep[c] = int32(r)
+			stamp[c] = 0
 			need--
 		}
 	}
+	return pool
 }

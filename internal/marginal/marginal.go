@@ -106,8 +106,8 @@ func (m *Marginal) CellInto(idx int, codes []int32) {
 // at once, instead of one pass per attribute. The 2- and 3-way
 // shapes — the common cases under the pipeline's arity cap — go
 // through the kernels package's 8-lane unrolled loops; anything wider
-// takes the generic stride accumulation. GUM's planning pass and Compute both
-// sit on top of this.
+// takes the generic stride accumulation. Compute and GUM's sparse
+// tally build sit on top of this.
 func (m *Marginal) CellsInto(e *dataset.Encoded, out []int) {
 	n := e.NumRows()
 	out = out[:n]

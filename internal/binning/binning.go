@@ -22,9 +22,11 @@
 package binning
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
@@ -123,79 +125,163 @@ type Encoder struct {
 }
 
 // Build derives the binning from a table and returns it together with
-// the table's encoded form: every row's code, written while the
-// binning pass visits the row anyway (the same codes Encode would
-// assign). rhoBin is the zCDP budget for the data-dependent
+// the table's encoded form: every row's code (the same codes Encode
+// would assign). rhoBin is the zCDP budget for the data-dependent
 // (frequency) pass — NetDPSyn allocates 0.1ρ — split evenly across
-// attributes. seed drives the noise.
+// attributes. seed drives the noise. It is Prepare followed by
+// Prep.Build.
 func Build(t *dataset.Table, cfg Config, rhoBin float64, seed uint64) (*Encoder, *dataset.Encoded, error) {
+	p, err := Prepare(t, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// No one else holds p, so the final codes may overwrite its row
+	// indices instead of taking new columns.
+	return p.build(cfg, rhoBin, seed, true)
+}
+
+// Prep is the type-dependent first pass over one table: every
+// attribute's initial bins in sorted order, their exact counts, and
+// every row's initial-bin index. It is a function of the table and the
+// first-pass Config fields alone — no noise, no budget — so a table
+// released many times needs it once. A Prep is read-only once built
+// and may be shared by concurrent Build calls.
+type Prep struct {
+	cfg    Config // the first-pass fields only (see firstPass)
+	n      int
+	fields []dataset.Field
+	dicts  []*dataset.Dict
+	attrs  []prepAttr
+}
+
+// prepAttr is one attribute's first pass.
+type prepAttr struct {
+	initial []Bin
+	counts  []float64
+	idx     []int32 // each row's index into initial
+}
+
+// firstPass keeps the Config fields the first pass reads.
+func firstPass(cfg Config) Config {
+	return Config{
+		PortBinWidth:    cfg.PortBinWidth,
+		CommonPortLimit: cfg.CommonPortLimit,
+		LogBinsPerUnit:  cfg.LogBinsPerUnit,
+		TimestampBins:   cfg.TimestampBins,
+	}
+}
+
+// Prepare runs the type-dependent first pass over a table. It refuses
+// an empty table, a config the first pass cannot use, and a port
+// outside 0–65535.
+func Prepare(t *dataset.Table, cfg Config) (*Prep, error) {
 	n := t.NumRows()
 	if n == 0 {
-		return nil, nil, fmt.Errorf("binning: empty table")
+		return nil, fmt.Errorf("binning: empty table")
 	}
 	// logBins walks boundaries until they leave the int64 range, and
 	// portBins divides by the width.
 	if k := cfg.LogBinsPerUnit; !(k > 0) || math.IsInf(k, 1) {
-		return nil, nil, fmt.Errorf("binning: LogBinsPerUnit %v is not positive and finite", k)
+		return nil, fmt.Errorf("binning: LogBinsPerUnit %v is not positive and finite", k)
 	}
 	if cfg.PortBinWidth < 1 {
-		return nil, nil, fmt.Errorf("binning: PortBinWidth %d is not positive", cfg.PortBinWidth)
+		return nil, fmt.Errorf("binning: PortBinWidth %d is not positive", cfg.PortBinWidth)
 	}
-	d := t.Schema().NumFields()
+	fields := t.Schema().Fields
+	p := &Prep{
+		cfg:    firstPass(cfg),
+		n:      n,
+		fields: slices.Clone(fields),
+		dicts:  make([]*dataset.Dict, len(fields)),
+		attrs:  make([]prepAttr, len(fields)),
+	}
+	for i, f := range fields {
+		p.dicts[i] = t.Dict(i)
+		if err := p.attrs[i].prepare(t.Column(i), f, cfg); err != nil {
+			return nil, fmt.Errorf("binning: field %q: %w", f.Name, err)
+		}
+	}
+	return p, nil
+}
+
+// Build runs the frequency-dependent second pass on the prepared
+// table: noisy counts, merging, and every row's final code. cfg's
+// first-pass fields must be the ones the Prep was built with; its
+// merge fields are free.
+func (p *Prep) Build(cfg Config, rhoBin float64, seed uint64) (*Encoder, *dataset.Encoded, error) {
+	return p.build(cfg, rhoBin, seed, false)
+}
+
+// build is Prep.Build; with consume set it writes the final codes over
+// the Prep's row indices, which leaves the Prep unusable.
+func (p *Prep) build(cfg Config, rhoBin float64, seed uint64, consume bool) (*Encoder, *dataset.Encoded, error) {
+	if firstPass(cfg) != p.cfg {
+		return nil, nil, fmt.Errorf("binning: the first-pass settings differ from the ones the table was prepared with")
+	}
+	d := len(p.attrs)
 	rhoPer := rhoBin / float64(d)
-	enc := &Encoder{cfg: cfg, dicts: make([]*dataset.Dict, d), Attrs: make([]Attr, d)}
-	names := make([]string, d)
-	domains := make([]int, d)
-	encoded := dataset.NewEncoded(names, domains, n)
-	for i, f := range t.Schema().Fields {
-		enc.dicts[i] = t.Dict(i)
-		if err := buildAttr(&enc.Attrs[i], t.Column(i), encoded.Cols[i], f, cfg, rhoPer, seed+uint64(i)*7919); err != nil {
+	enc := &Encoder{cfg: cfg, dicts: slices.Clone(p.dicts), Attrs: make([]Attr, d)}
+	encoded := &dataset.Encoded{Names: make([]string, d), Domains: make([]int, d), Cols: make([][]int32, d)}
+	for i, f := range p.fields {
+		codes := p.attrs[i].idx
+		if !consume {
+			codes = make([]int32, p.n)
+		}
+		if err := p.attrs[i].build(&enc.Attrs[i], codes, f, cfg, rhoPer, seed+uint64(i)*7919); err != nil {
 			return nil, nil, fmt.Errorf("binning: field %q: %w", f.Name, err)
 		}
-		names[i], domains[i] = f.Name, enc.Attrs[i].Domain()
+		encoded.Names[i], encoded.Domains[i], encoded.Cols[i] = f.Name, enc.Attrs[i].Domain(), codes
 	}
 	return enc, encoded, nil
 }
 
-// buildAttr runs the two binning passes for one attribute. The
-// type-dependent pass writes each row's initial-bin index into codes
-// and counts the bins from it; once the frequency-dependent pass has
-// merged the bins, codes is rewritten to the final codes.
-func buildAttr(attr *Attr, values []int64, codes []int32, f dataset.Field, cfg Config, rho float64, seed uint64) error {
-	var initial []Bin
-	var counts []float64
-	// toInitial maps what the first pass wrote into codes to the
-	// initial bin index; nil when it already wrote the index.
+// prepare runs the type-dependent pass for one attribute: the initial
+// bins, sorted, their counts, and each row's initial-bin index.
+func (a *prepAttr) prepare(values []int64, f dataset.Field, cfg Config) error {
+	a.idx = make([]int32, len(values))
+	// toInitial maps what the first pass wrote into idx to the initial
+	// bin index; nil when it already wrote the index.
 	var toInitial []int32
 	switch f.Kind {
 	case dataset.KindIP, dataset.KindCategorical:
-		initial, counts, toInitial = identityBins(values, codes)
+		a.initial, a.counts, toInitial = identityBins(values, a.idx)
 	case dataset.KindPort:
 		var err error
-		if initial, counts, toInitial, err = portBins(values, codes, cfg); err != nil {
+		if a.initial, a.counts, toInitial, err = portBins(values, a.idx, cfg); err != nil {
 			return err
 		}
 	case dataset.KindNumeric:
-		initial = logBins(maxValue(values), cfg.LogBinsPerUnit)
-		counts = countBins(initial, values, codes)
+		a.initial = logBins(maxValue(values), cfg.LogBinsPerUnit)
+		a.counts = countBins(a.initial, values, a.idx)
 	case dataset.KindTimestamp:
 		mn, mx := minMax(values)
 		w := rangeWidth(mn, mx, cfg.TimestampBins)
-		initial = rangeBins(mn, mx, w)
-		counts = countRange(len(initial), mn, w, values, codes)
+		a.initial = rangeBins(mn, mx, w)
+		a.counts = countRange(len(a.initial), mn, w, values, a.idx)
 	default:
 		return fmt.Errorf("unknown kind %v", f.Kind)
 	}
+	if toInitial != nil {
+		for r, id := range a.idx {
+			a.idx[r] = toInitial[id]
+		}
+	}
+	return nil
+}
 
+// build runs the frequency-dependent pass for one attribute into attr
+// and writes every row's final code into codes (which may be a.idx
+// itself). The noise goes onto a copy of the counts.
+func (a *prepAttr) build(attr *Attr, codes []int32, f dataset.Field, cfg Config, rho float64, seed uint64) error {
 	// Publish noisy counts with the binning budget; the Gaussian σ
 	// also defines the merge threshold.
 	gm, err := dp.NewGaussian(1, rho, seed)
 	if err != nil {
 		return err
 	}
-	noisy := gm.Perturb(counts)
+	noisy := gm.Perturb(slices.Clone(a.counts))
 	threshold := cfg.MergeSigmas * gm.Sigma
-	if floor := cfg.MinBinFraction * float64(len(values)); threshold < floor {
+	if floor := cfg.MinBinFraction * float64(len(a.idx)); threshold < floor {
 		threshold = floor
 	}
 
@@ -203,11 +289,11 @@ func buildAttr(attr *Attr, values []int64, codes []int32, f dataset.Field, cfg C
 	switch f.Kind {
 	case dataset.KindCategorical:
 		// Categorical attributes with small domains are not binned.
-		attr.Bins, attr.NoisyCounts = initial, clampNonNeg(noisy)
+		attr.Bins, attr.NoisyCounts = slices.Clone(a.initial), clampNonNeg(noisy)
 	case dataset.KindIP:
-		attr.Bins, attr.NoisyCounts = mergeIPBins(initial, noisy, threshold, cfg.MaxBinsPerAttr)
+		attr.Bins, attr.NoisyCounts = mergeIPBins(a.initial, noisy, threshold, cfg.MaxBinsPerAttr)
 	default:
-		attr.Bins, attr.NoisyCounts = mergeAdjacent(initial, noisy, threshold, cfg.MaxBinsPerAttr)
+		attr.Bins, attr.NoisyCounts = mergeAdjacent(a.initial, noisy, threshold, cfg.MaxBinsPerAttr)
 	}
 	attr.buildLookup()
 
@@ -218,18 +304,12 @@ func buildAttr(attr *Attr, values []int64, codes []int32, f dataset.Field, cfg C
 	// final bin containing the initial bin": Code's walk-back can
 	// miss an IP address's bin among nested group bins, and the
 	// encoding must match Code, misses included.
-	final := make([]int32, len(initial))
-	for i, b := range initial {
+	final := make([]int32, len(a.initial))
+	for i, b := range a.initial {
 		final[i] = attr.Code(b.Lo)
 	}
-	if toInitial != nil {
-		for k, i := range toInitial {
-			toInitial[k] = final[i]
-		}
-		final = toInitial
-	}
-	for r, c := range codes {
-		codes[r] = final[c]
+	for r, i := range a.idx {
+		codes[r] = final[i]
 	}
 	return nil
 }
@@ -495,7 +575,7 @@ func mergeIPBins(bins []Bin, noisy []float64, threshold float64, maxBins int) ([
 		count float64
 	}
 	var keep []entry
-	var low []entry
+	var low []entry // ascending by address, as bins are
 	for i, b := range bins {
 		if noisy[i] >= threshold {
 			keep = append(keep, entry{b.Lo, noisy[i]})
@@ -503,21 +583,34 @@ func mergeIPBins(bins []Bin, noisy []float64, threshold float64, maxBins int) ([
 			low = append(low, entry{b.Lo, noisy[i]})
 		}
 	}
+	byAddr := func(a, b entry) int { return cmp.Compare(a.addr, b.addr) }
 	prefixes := []uint{30, 26, 22, 18, 14, 10}
 	var outB []Bin
 	var outC []float64
-	for p := 0; p < len(prefixes); p++ {
-		bits := prefixes[p]
-		groups := make(map[int64]float64)
-		for _, e := range low {
-			groups[prefixBase(e.addr, bits)] += e.count
+	for p, bits := range prefixes {
+		// Replace each pending entry's address by its prefix base. The
+		// entries are ascending, so each group is one run: it is summed
+		// in address order and the next level's entries come out
+		// ascending too, so no sum depends on map iteration order. Only
+		// an address outside 32 bits breaks the order; a stable sort
+		// restores the runs without reordering a group's members.
+		for i := range low {
+			low[i].addr = prefixBase(low[i].addr, bits)
+		}
+		if !slices.IsSortedFunc(low, byAddr) {
+			slices.SortStableFunc(low, byAddr)
 		}
 		// Groups that clear the threshold become final bins; the rest
 		// go another round with a wider prefix, unless this is the
-		// last level or the count already fits the cap.
+		// last level.
 		var next []entry
 		final := p == len(prefixes)-1
-		for base, c := range groups {
+		for i := 0; i < len(low); {
+			base := low[i].addr
+			c := 0.0
+			for ; i < len(low) && low[i].addr == base; i++ {
+				c += low[i].count
+			}
 			if c >= threshold || final {
 				outB = append(outB, Bin{Lo: base, Hi: base + int64(1)<<(32-bits) - 1})
 				if c < 0 {
@@ -528,7 +621,6 @@ func mergeIPBins(bins []Bin, noisy []float64, threshold float64, maxBins int) ([
 				next = append(next, entry{base, c})
 			}
 		}
-		// Re-expand pending groups to address entries for regrouping.
 		low = next
 		if len(low) == 0 {
 			break

@@ -1,8 +1,11 @@
 package binning
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -464,6 +467,115 @@ func TestSampleWideBins(t *testing.T) {
 					t.Fatalf("bin %d: Sample = %d, Int64N draw %d", c, v, want)
 				}
 			}
+		}
+	}
+}
+
+// sameBinning reports where two encoders' bins or noisy counts differ,
+// comparing counts bit for bit.
+func sameBinning(a, b *Encoder) string {
+	for c := range a.Attrs {
+		x, y := &a.Attrs[c], &b.Attrs[c]
+		if !slices.Equal(x.Bins, y.Bins) {
+			return fmt.Sprintf("%s: bins differ", x.Field.Name)
+		}
+		for i := range x.NoisyCounts {
+			if math.Float64bits(x.NoisyCounts[i]) != math.Float64bits(y.NoisyCounts[i]) {
+				return fmt.Sprintf("%s: bin %d count %v vs %v", x.Field.Name, i, x.NoisyCounts[i], y.NoisyCounts[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestBuildDeterministic: one table and one seed give one binning, bit
+// for bit. mergeIPBins once re-summed the groups that stayed under the
+// threshold at /30 in map iteration order, so the srcip counts of
+// rebuilds differed in their last bits.
+func TestBuildDeterministic(t *testing.T) {
+	for _, ds := range datagen.Datasets() {
+		tab, err := datagen.Generate(ds, datagen.Config{Rows: 3000, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			first, _, err := Build(tab, DefaultConfig(), 0.05, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				again, _, err := Build(tab, DefaultConfig(), 0.05, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sameBinning(first, again); d != "" {
+					t.Fatalf("%s seed %d: rebuild %d: %s", ds, seed, i+1, d)
+				}
+			}
+		}
+	}
+}
+
+// TestPrepBuildsLikeBuild: Build calls on one shared Prep — with
+// different seeds, budgets and merge settings — equal Build on the
+// table each time, and leave the Prep as Prepare made it.
+func TestPrepBuildsLikeBuild(t *testing.T) {
+	tab, err := datagen.Generate(datagen.CAIDA, datagen.Config{Rows: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	prep, err := Prepare(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Prepare(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rho := range []float64{0.05, 0.5, 0.002} {
+		c := cfg
+		c.MaxBinsPerAttr = 40 + 30*i
+		c.MergeSigmas = float64(1 + i)
+		got, gotCodes, err := prep.Build(c, rho, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantCodes, err := Build(tab, c, rho, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameBinning(got, want); d != "" {
+			t.Fatalf("build %d: %s", i, d)
+		}
+		if !reflect.DeepEqual(gotCodes, wantCodes) {
+			t.Fatalf("build %d: codes differ from Build's", i)
+		}
+	}
+	if !reflect.DeepEqual(prep, twin) {
+		t.Fatal("Build modified the shared Prep")
+	}
+}
+
+// TestPrepBuildRefusesFirstPassChange: a Prep is the first pass of
+// one configuration; Build under other first-pass fields must fail
+// rather than encode with bins they would not produce.
+func TestPrepBuildRefusesFirstPassChange(t *testing.T) {
+	tab := smallFlowTable(t, 300)
+	prep, err := Prepare(tab, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.PortBinWidth = 20 },
+		func(c *Config) { c.CommonPortLimit = 512 },
+		func(c *Config) { c.LogBinsPerUnit = 4 },
+		func(c *Config) { c.TimestampBins = 32 },
+	} {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		if _, _, err := prep.Build(cfg, 0.1, 1); err == nil {
+			t.Errorf("config %+v: Prep.Build must refuse it", cfg)
 		}
 	}
 }

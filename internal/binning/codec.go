@@ -2,6 +2,7 @@ package binning
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -182,33 +183,102 @@ func (e *Encoder) Decode(enc *dataset.Encoded, opts DecodeOptions) (*dataset.Tab
 }
 
 // clusters is the grouping of an encoded table's rows by their codes
-// in a list of columns, for decoding.
+// in a list of columns, for decoding: cluster i is
+// rows[start[i]:start[i+1]], its rows ascending, and the clusters are
+// in ascending key order.
 type clusters struct {
 	rows, start []int
-	// order lists the groups of rows/start by ascending key.
-	order []int32
 }
 
+// len returns the number of clusters.
+func (cl *clusters) len() int { return len(cl.start) - 1 }
+
+// run returns the rows of the i-th cluster.
+func (cl *clusters) run(i int) []int { return cl.rows[cl.start[i]:cl.start[i+1]] }
+
 // clusterRows groups enc's rows by their codes in the given columns
-// (the first 8 of them form the key) and orders the groups by key.
+// (the first 8 of them form the key) and orders the groups by key:
+// by sorting one packed key per row when the codes allow it, else
+// through groupRows.
 func clusterRows(enc *dataset.Encoded, group []int) *clusters {
-	cols := make([][]int32, len(group))
-	for j, g := range group {
-		cols[j] = enc.Cols[g]
+	cols := make([][]int32, 0, len(group))
+	domains := make([]int, 0, len(group))
+	for _, g := range group {
+		cols = append(cols, enc.Cols[g])
+		domains = append(domains, enc.Domains[g])
 	}
-	rows, start, keys := groupRows(cols, enc.NumRows())
+	if cl := packedClusters(cols, domains, enc.NumRows()); cl != nil {
+		return cl
+	}
+	return mapClusters(cols, enc.NumRows())
+}
+
+// packedClusters clusters n rows by their codes in cols by sorting
+// one uint64 per row: the codes, each in the bits its domain needs,
+// then the row index. A sorted run of equal keys is one cluster with
+// its rows ascending, and since codes are non-negative the unsigned
+// key order is the lexicographic order of the codes. It returns nil
+// when the rows do not pack: more than 8 columns (groupRows keys on
+// the first 8 only), more than 64 bits of codes and row index, or a
+// code outside [0, domain).
+func packedClusters(cols [][]int32, domains []int, n int) *clusters {
+	if len(cols) > 8 {
+		return nil
+	}
+	widths := make([]uint, len(cols))
+	total := uint(bits.Len(uint(n)))
+	rowBits := total
+	for j, d := range domains {
+		if d < 1 {
+			return nil
+		}
+		widths[j] = uint(bits.Len(uint(d - 1)))
+		total += widths[j]
+	}
+	if total > 64 {
+		return nil
+	}
+	keys := make([]uint64, n)
+	for r := range keys {
+		var k uint64
+		for j, col := range cols {
+			c := col[r]
+			if c < 0 || int(c) >= domains[j] {
+				return nil
+			}
+			k = k<<widths[j] | uint64(c)
+		}
+		keys[r] = k<<rowBits | uint64(r)
+	}
+	slices.Sort(keys)
+	rowMask := uint64(1)<<rowBits - 1
+	cl := &clusters{rows: make([]int, n), start: make([]int, 0, n+1)}
+	for i, k := range keys {
+		if i == 0 || k>>rowBits != keys[i-1]>>rowBits {
+			cl.start = append(cl.start, i)
+		}
+		cl.rows[i] = int(k & rowMask)
+	}
+	cl.start = append(cl.start, n)
+	return cl
+}
+
+// mapClusters is clusterRows through groupRows: rows grouped by a map
+// of keys in order of first appearance, then laid out in key order.
+func mapClusters(cols [][]int32, n int) *clusters {
+	rows, start, keys := groupRows(cols, n)
 	order := make([]int32, len(keys))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(keys[a][:], keys[b][:]) })
-	return &clusters{rows: rows, start: start, order: order}
-}
-
-// run returns the rows of the i-th cluster in key order.
-func (cl *clusters) run(i int) []int {
-	k := cl.order[i]
-	return cl.rows[cl.start[k]:cl.start[k+1]]
+	cl := &clusters{rows: make([]int, 0, n), start: make([]int, 0, len(keys)+1)}
+	for _, k := range order {
+		cl.start = append(cl.start, len(cl.rows))
+		cl.rows = append(cl.rows, rows[start[k]:start[k+1]]...)
+	}
+	cl.start = append(cl.start, len(cl.rows))
+	return cl
 }
 
 // groupRows groups n rows by their values in cols (the first 8
@@ -253,7 +323,7 @@ func groupRows[T int32 | int64](cols [][]T, n int) (rows, start []int, keys [][8
 // decodeClustered samples the identifier attributes once per encoded
 // cluster, in key order, and assigns the values to every member row.
 func (e *Encoder) decodeClustered(enc *dataset.Encoded, raw [][]int64, group []int, cl *clusters, rng *rand.Rand) {
-	for i := range cl.order {
+	for i := range cl.len() {
 		rows := cl.run(i)
 		for _, g := range group {
 			attr := &e.Attrs[g]
@@ -271,7 +341,7 @@ func (e *Encoder) decodeClustered(enc *dataset.Encoded, raw [][]int64, group []i
 func (e *Encoder) reconstructTS(enc *dataset.Encoded, raw [][]int64, tsIdx, diffIdx int, cl *clusters, rng *rand.Rand) {
 	tsAttr := &e.Attrs[tsIdx]
 	codes := enc.Cols[tsIdx]
-	for i := range cl.order {
+	for i := range cl.len() {
 		rows := cl.run(i)
 		if len(rows) > 1 {
 			// sort.Slice is not stable: which of a cluster's tied rows

@@ -3,6 +3,8 @@ package binning
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
@@ -124,6 +126,81 @@ func FuzzBuildEncode(f *testing.F) {
 						ref.Names[c], r, v, got, want, enc.Attrs[c].Bins)
 				}
 			}
+		}
+	})
+}
+
+// FuzzClusterRows checks the packed clustering against the map route
+// it falls back to: data[0] picks 1–10 group columns, the next byte
+// per column its domain (1–128, or a power of two up to 2^31, so code
+// and row bits can pass 64), data[1] how many times (1–8) the rows
+// repeat, and every further column-wide run of bytes one row of codes
+// (254 is the domain itself and 255 is −1, both outside it). The
+// packed route must run exactly when the rows pack, and then equal
+// the map route cluster for cluster.
+func FuzzClusterRows(f *testing.F) {
+	f.Add([]byte{2, 3, 5, 9, 0, 1, 4, 2, 0, 1})
+	f.Add([]byte{7, 0, 0x9f, 0x9f, 0x9f, 0x88, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{9, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{1, 0, 4, 4, 1, 254, 3})
+	f.Add([]byte{0, 7, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ncols := 1 + int(data[0])%10
+		repeat := 1 + int(data[1]&7)
+		data = data[2:]
+		if len(data) < ncols {
+			return
+		}
+		domains := make([]int, ncols)
+		for j, b := range data[:ncols] {
+			if b&0x80 != 0 {
+				domains[j] = 1 << (b & 31)
+			} else {
+				domains[j] = 1 + int(b)
+			}
+		}
+		once := data[ncols:]
+		once = once[:len(once)/ncols*ncols]
+		if len(once) > 64*ncols {
+			once = once[:64*ncols]
+		}
+		rowBytes := bytes.Repeat(once, repeat)
+		n := len(rowBytes) / ncols
+		cols := make([][]int32, ncols)
+		inRange := true
+		for j := range cols {
+			cols[j] = make([]int32, n)
+			for r := range n {
+				switch b := rowBytes[r*ncols+j]; b {
+				case 254:
+					cols[j][r] = int32(domains[j])
+				case 255:
+					cols[j][r] = -1
+				default:
+					cols[j][r] = int32(int(b) % domains[j])
+				}
+				if c := cols[j][r]; c < 0 || int(c) >= domains[j] {
+					inRange = false
+				}
+			}
+		}
+		keyBits := bits.Len(uint(n))
+		for _, d := range domains {
+			keyBits += bits.Len(uint(d - 1))
+		}
+		want := mapClusters(cols, n)
+		got := packedClusters(cols, domains, n)
+		if packs := ncols <= 8 && keyBits <= 64 && inRange; (got != nil) != packs {
+			t.Fatalf("domains %v, %d rows, codes in range %v: packed route ran %v, want %v", domains, n, inRange, got != nil, packs)
+		}
+		if got == nil {
+			return
+		}
+		if !slices.Equal(got.start, want.start) || !slices.Equal(got.rows, want.rows) {
+			t.Fatalf("domains %v, %d rows: packed clusters %v/%v, map route %v/%v", domains, n, got.start, got.rows, want.start, want.rows)
 		}
 	})
 }

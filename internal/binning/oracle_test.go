@@ -1,7 +1,10 @@
 package binning
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -90,9 +93,43 @@ func TestAddTSDiffMatchesPerTupleSort(t *testing.T) {
 // TestDecodeMatchesMapClustering checks Decode against the
 // per-call map clustering it replaced, including GroupBy lists whose
 // order differs from index order (the timestamp clusters are then
-// keyed differently) and lists naming no column.
+// keyed differently) and lists naming no column, on both routes of
+// clusterRows: binned tables, whose keys pack, and synthetic encodings
+// whose keys do not — more than 64 bits of codes and row index, or
+// more than 8 group columns.
 func TestDecodeMatchesMapClustering(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 21))
+	check := func(trial int, enc *Encoder, encoded *dataset.Encoded, opts DecodeOptions) {
+		t.Helper()
+		got, err := enc.Decode(encoded, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := decodeWithMaps(enc, encoded, opts)
+		if got.NumCols() != len(want) {
+			t.Fatalf("trial %d: %d columns, oracle %d", trial, got.NumCols(), len(want))
+		}
+		for c := range want {
+			for r, v := range want[c] {
+				if g := got.Column(c)[r]; g != v {
+					t.Fatalf("trial %d (GroupBy %v): column %d row %d = %d, oracle %d", trial, opts.GroupBy, c, r, g, v)
+				}
+			}
+		}
+	}
+	// packs reports whether clusterRows takes the packed route for the
+	// named columns.
+	packs := func(encoded *dataset.Encoded, names []string) bool {
+		var cols [][]int32
+		var domains []int
+		for _, name := range names {
+			if i := encoded.Index(name); i >= 0 {
+				cols = append(cols, encoded.Cols[i])
+				domains = append(domains, encoded.Domains[i])
+			}
+		}
+		return packedClusters(cols, domains, encoded.NumRows()) != nil
+	}
 	for trial := 0; trial < 24; trial++ {
 		raw := tiedTable(rng, 50+rng.IntN(400), trial%2 == 0)
 		aug, err := AddTSDiff(raw, "ts", "tsdiff", []string{"srcip", "dstip"})
@@ -112,22 +149,71 @@ func TestDecodeMatchesMapClustering(t *testing.T) {
 			DropAux:     trial%2 == 1,
 			Constraints: []GreaterEq{{A: "byt", B: "srcport"}},
 		}
-		got, err := enc.Decode(encoded, opts)
-		if err != nil {
-			t.Fatal(err)
+		if !packs(encoded, opts.GroupBy) {
+			t.Fatalf("trial %d: binned keys of %v do not pack", trial, opts.GroupBy)
 		}
-		want := decodeWithMaps(enc, encoded, opts)
-		if got.NumCols() != len(want) {
-			t.Fatalf("trial %d: %d columns, oracle %d", trial, got.NumCols(), len(want))
+		check(trial, enc, encoded, opts)
+	}
+	for trial, tc := range []struct {
+		domains []int // one per group column
+		packs   bool
+	}{
+		{[]int{5, 300, 2, 70}, true},
+		{[]int{1, 1, 7}, true},
+		{[]int{256, 256, 256, 256, 256, 256, 256, 256}, false}, // 64 code bits + row bits
+		{[]int{3, 2, 4, 2, 5, 2, 3, 2, 6}, false},              // 9 group columns
+		{[]int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, false},           // 10, the last two beyond the key
+	} {
+		enc, encoded, names := groupedEncoding(rng, tc.domains, 100+rng.IntN(500))
+		if got := packs(encoded, names); got != tc.packs {
+			t.Fatalf("domains %v: packed route %v, want %v", tc.domains, got, tc.packs)
 		}
-		for c := range want {
-			for r, v := range want[c] {
-				if g := got.Column(c)[r]; g != v {
-					t.Fatalf("trial %d (GroupBy %v): column %d row %d = %d, oracle %d", trial, opts.GroupBy, c, r, g, v)
-				}
-			}
+		opts := DecodeOptions{Seed: uint64(trial), GroupBy: names, TSField: "ts", TSDiffField: "tsdiff"}
+		check(100+trial, enc, encoded, opts)
+		opts.GroupBy = append([]string{names[len(names)-1]}, names[:len(names)-1]...)
+		check(200+trial, enc, encoded, opts)
+	}
+}
+
+// groupedEncoding builds an encoder and an encoded table of n rows:
+// one group column per domain (named g0, g1, ...), then ts and tsdiff.
+// The group codes repeat a few dozen keys, so clusters hold many rows.
+func groupedEncoding(rng *rand.Rand, domains []int, n int) (*Encoder, *dataset.Encoded, []string) {
+	var names []string
+	var attrs []Attr
+	var encDomains []int
+	for j, d := range domains {
+		name := fmt.Sprintf("g%d", j)
+		bins := make([]Bin, d)
+		for i := range bins {
+			bins[i] = Bin{Lo: int64(4 * i), Hi: int64(4*i + 3)}
+		}
+		names = append(names, name)
+		attrs = append(attrs, Attr{Field: dataset.Field{Name: name, Kind: dataset.KindNumeric}, Bins: bins})
+		encDomains = append(encDomains, d)
+	}
+	attrs = append(attrs,
+		Attr{Field: dataset.Field{Name: "ts", Kind: dataset.KindTimestamp}, Bins: []Bin{{0, 99}, {100, 199}, {200, 299}}},
+		Attr{Field: dataset.Field{Name: "tsdiff", Kind: dataset.KindNumeric}, Bins: []Bin{{0, 0}, {1, 9}, {10, 99}}})
+	encDomains = append(encDomains, 3, 3)
+	allNames := append(slices.Clone(names), "ts", "tsdiff")
+	encoded := dataset.NewEncoded(allNames, encDomains, n)
+	keys := make([][]int32, 1+rng.IntN(40))
+	for k := range keys {
+		keys[k] = make([]int32, len(domains))
+		for j, d := range domains {
+			keys[k][j] = int32(rng.IntN(d))
 		}
 	}
+	for r := 0; r < n; r++ {
+		key := keys[rng.IntN(len(keys))]
+		for j := range domains {
+			encoded.Cols[j][r] = key[j]
+		}
+		encoded.Cols[len(domains)][r] = int32(rng.IntN(3))
+		encoded.Cols[len(domains)+1][r] = int32(rng.IntN(3))
+	}
+	return &Encoder{Attrs: attrs, dicts: make([]*dataset.Dict, len(attrs))}, encoded, names
 }
 
 // decodeWithMaps is Decode's sampling with clusters built by a
@@ -237,4 +323,91 @@ func less8(a, b [8]int32) bool {
 		}
 	}
 	return false
+}
+
+// mergeIPBinsMap is mergeIPBins grouping through a map of prefix
+// bases, as it once did: the oracle for which addresses share a bin.
+// Its sums depend on map order, so compare it on integral counts.
+func mergeIPBinsMap(bins []Bin, noisy []float64, threshold float64, maxBins int) ([]Bin, []float64) {
+	var keep, low []Bin
+	var keepC, lowC []float64
+	for i, b := range bins {
+		if noisy[i] >= threshold {
+			keep, keepC = append(keep, b), append(keepC, noisy[i])
+		} else {
+			low, lowC = append(low, b), append(lowC, noisy[i])
+		}
+	}
+	var outB []Bin
+	var outC []float64
+	prefixes := []uint{30, 26, 22, 18, 14, 10}
+	for p, bits := range prefixes {
+		groups := make(map[int64]float64)
+		for i, b := range low {
+			groups[prefixBase(b.Lo, bits)] += lowC[i]
+		}
+		low, lowC = nil, nil
+		for base, c := range groups {
+			if c >= threshold || p == len(prefixes)-1 {
+				outB, outC = append(outB, Bin{Lo: base, Hi: base + int64(1)<<(32-bits) - 1}), append(outC, max(c, 0))
+			} else {
+				low, lowC = append(low, Bin{Lo: base, Hi: base}), append(lowC, c)
+			}
+		}
+		if len(low) == 0 {
+			break
+		}
+	}
+	outB, outC = append(outB, keep...), append(outC, keepC...)
+	sortBins(&outB, &outC)
+	for len(outB) > maxBins && len(outB) > 1 {
+		best, bestC := 0, outC[0]+outC[1]
+		for k := 1; k+1 < len(outB); k++ {
+			if s := outC[k] + outC[k+1]; s < bestC {
+				best, bestC = k, s
+			}
+		}
+		outB[best].Hi = outB[best+1].Hi
+		outC[best] += outC[best+1]
+		outB = append(outB[:best+1], outB[best+2:]...)
+		outC = append(outC[:best+1], outC[best+2:]...)
+	}
+	return outB, outC
+}
+
+// TestMergeIPBinsMatchesMapGrouping: grouping each prefix level's
+// pending addresses as runs gives the bins the map of prefix bases
+// gave, also for addresses outside 32 bits (a programmatic table can
+// hold them), whose bases do not follow address order.
+func TestMergeIPBinsMatchesMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 30))
+	for trial := 0; trial < 200; trial++ {
+		seen := make(map[int64]bool)
+		var bins []Bin
+		for len(bins) < 1+rng.IntN(200) {
+			a := int64(0x0A000000) + rng.Int64N(1<<(4+rng.IntN(20)))
+			switch rng.IntN(8) {
+			case 0:
+				a = -a
+			case 1:
+				a += 1 << 32
+			}
+			if !seen[a] {
+				seen[a] = true
+				bins = append(bins, Bin{Lo: a, Hi: a})
+			}
+		}
+		slices.SortFunc(bins, func(x, y Bin) int { return cmp.Compare(x.Lo, y.Lo) })
+		noisy := make([]float64, len(bins))
+		for i := range noisy {
+			noisy[i] = float64(rng.IntN(12) - 3)
+		}
+		threshold := float64(2 + rng.IntN(30))
+		maxBins := 1 + rng.IntN(300)
+		gotB, gotC := mergeIPBins(bins, noisy, threshold, maxBins)
+		wantB, wantC := mergeIPBinsMap(bins, noisy, threshold, maxBins)
+		if !slices.Equal(gotB, wantB) || !slices.Equal(gotC, wantC) {
+			t.Fatalf("trial %d: bins %v counts %v, map grouping %v %v", trial, gotB, gotC, wantB, wantC)
+		}
+	}
 }

@@ -170,6 +170,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // its own; nothing outside the stage functions mutates it.
 type synthState struct {
 	input *dataset.Table
+	// prep, when non-nil, is input's prepared form, handed in by the
+	// caller; stagePreprocess prepares inline otherwise.
+	prep *Prepared
 
 	// stageBudget
 	acct  *dp.Accountant
@@ -234,12 +237,19 @@ func (p *Pipeline) Synthesize(t *dataset.Table) (*Result, error) {
 // dataset=X,stage=gum` slices engine work by both axes. The context
 // carries labels only — it is not a cancellation signal.
 func (p *Pipeline) SynthesizeCtx(ctx context.Context, t *dataset.Table) (*Result, error) {
+	return p.synthesize(ctx, t, nil)
+}
+
+// synthesize is SynthesizeCtx starting from t's prepared form when prep
+// is non-nil (see Prepared).
+func (p *Pipeline) synthesize(ctx context.Context, t *dataset.Table, prep *Prepared) (*Result, error) {
 	eng := newEngine(p.cfg.Workers)
 	if p.cfg.Metrics != nil {
 		eng.active = p.cfg.Metrics.ActiveWorkers
 	}
 	st := &synthState{
 		input: t,
+		prep:  prep,
 		report: Report{
 			Durations: make(map[string]time.Duration),
 			Stages:    make(map[string]StageTiming),
@@ -314,19 +324,70 @@ func (p *Pipeline) stageBudget(st *synthState) error {
 	return nil
 }
 
+// Prepared is the data-only half of preprocessing for one table: the
+// tsdiff augmentation and binning's first pass (binning.Prep). It
+// depends on the table, DisableTSDiff and the first-pass binning
+// fields alone — never on the seed or the budget — so a service that
+// releases one registered trace again and again builds it once, and
+// each release starts from noise. It is read-only once built and may
+// be shared by concurrent runs.
+type Prepared struct {
+	input *dataset.Table
+	// work is input with the tsdiff column (sharing input's columns),
+	// or input itself.
+	work          *dataset.Table
+	disableTSDiff bool
+	bins          *binning.Prep
+}
+
+// Prepare builds t's prepared form under cfg's DisableTSDiff and
+// first-pass binning fields.
+func Prepare(t *dataset.Table, cfg Config) (*Prepared, error) {
+	work, err := withTSDiff(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	bins, err := binning.Prepare(work, cfg.Binning)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{input: t, work: work, disableTSDiff: cfg.DisableTSDiff, bins: bins}, nil
+}
+
+// withTSDiff returns t with the auxiliary tsdiff column when t has
+// timestamps and cfg keeps tsdiff, and t itself otherwise.
+func withTSDiff(t *dataset.Table, cfg Config) (*dataset.Table, error) {
+	if !t.Schema().Has(trace.FieldTS) || cfg.DisableTSDiff {
+		return t, nil
+	}
+	work, err := binning.AddTSDiff(t, trace.FieldTS, trace.FieldTSDiff, fiveTuple(t.Schema()))
+	if err != nil {
+		return nil, fmt.Errorf("core: tsdiff: %w", err)
+	}
+	return work, nil
+}
+
 // stagePreprocess is steps 1–2 of Algorithm 1: temporal augmentation
 // (tsdiff), data-dependent binning, and encoding. The binning pass
-// also publishes the 1-way marginals this stage extracts.
+// also publishes the 1-way marginals this stage extracts. The
+// data-only half comes from the run's Prepared when it was handed
+// one, and is done here otherwise.
 func (p *Pipeline) stagePreprocess(eng *engine, st *synthState) error {
 	cfg := p.cfg
+	prep := st.prep
 	work := st.input
-	st.hasTS = st.input.Schema().Has(trace.FieldTS)
-	if st.hasTS && !cfg.DisableTSDiff {
+	switch {
+	case prep == nil:
 		var err error
-		work, err = binning.AddTSDiff(st.input, trace.FieldTS, trace.FieldTSDiff, fiveTuple(st.input.Schema()))
-		if err != nil {
-			return fmt.Errorf("core: tsdiff: %w", err)
+		if work, err = withTSDiff(st.input, cfg); err != nil {
+			return err
 		}
+	case prep.input != st.input:
+		return fmt.Errorf("core: the prepared form was built for another table")
+	case prep.disableTSDiff != cfg.DisableTSDiff:
+		return fmt.Errorf("core: the prepared form was built with DisableTSDiff %v, the run has %v", prep.disableTSDiff, cfg.DisableTSDiff)
+	default:
+		work = prep.work
 	}
 	if err := st.acct.Spend(st.parts[0]); err != nil {
 		return err
@@ -342,7 +403,14 @@ func (p *Pipeline) stagePreprocess(eng *engine, st *synthState) error {
 		}
 		binCfg.MaxBinsPerAttr = adaptive
 	}
-	enc, encoded, err := binning.Build(work, binCfg, st.parts[0], cfg.Seed^0xb1)
+	var enc *binning.Encoder
+	var encoded *dataset.Encoded
+	var err error
+	if prep != nil {
+		enc, encoded, err = prep.bins.Build(binCfg, st.parts[0], cfg.Seed^0xb1)
+	} else {
+		enc, encoded, err = binning.Build(work, binCfg, st.parts[0], cfg.Seed^0xb1)
+	}
 	if err != nil {
 		return err
 	}
@@ -353,7 +421,7 @@ func (p *Pipeline) stagePreprocess(eng *engine, st *synthState) error {
 		m.Sigma = enc.Attrs[i].Sigma
 		oneWay[i] = m
 	}
-	st.work, st.enc, st.encoded, st.oneWay = work, enc, encoded, oneWay
+	st.work, st.hasTS, st.enc, st.encoded, st.oneWay = work, st.input.Schema().Has(trace.FieldTS), enc, encoded, oneWay
 	return nil
 }
 

@@ -44,6 +44,17 @@ type StoppableSource interface {
 	Stop()
 }
 
+// PreparedSource is the optional extension a source of one table
+// implements when it holds that table's prepared form (Prepare).
+// Prepared returns the form, or nil to have the window prepared inline.
+// The engine uses a form only for the exact table it was built from,
+// and only when the run's DisableTSDiff and first-pass binning fields
+// match it; any other form fails the window.
+type PreparedSource interface {
+	WindowSource
+	Prepared() *Prepared
+}
+
 // WindowResult is one synthesized window, delivered incrementally by
 // SynthesizeStream in window order.
 type WindowResult struct {
@@ -140,6 +151,10 @@ func SynthesizeStreamCtx(ctx context.Context, src WindowSource, cfg Config, emit
 		}
 	}
 	innerWorkers, rem := eng.workers/conc, eng.workers%conc
+	var prep *Prepared
+	if ps, ok := src.(PreparedSource); ok {
+		prep = ps.Prepared()
+	}
 
 	var srcErr error
 	go func() {
@@ -200,7 +215,7 @@ func SynthesizeStreamCtx(ctx context.Context, src WindowSource, cfg Config, emit
 					results <- outcome{w: w, id: id, err: err}
 					return
 				}
-				res, err := p.SynthesizeCtx(ctx, part)
+				res, err := p.synthesize(ctx, part, prep)
 				if err != nil {
 					err = fmt.Errorf("core: window %d: %w", w, err)
 				}

@@ -13,7 +13,8 @@ import (
 // fmt/strconv string per cell; every result byte the daemon serves
 // passes through here (spool writers, windowed result.csv streaming,
 // the CLI emit loop), so rows are now rendered with strconv.Append*
-// into a pooled buffer and flushed in large chunks. The bytes are
+// (IP octets from a table) into a pooled buffer and flushed in large
+// chunks. The bytes are
 // csv.Writer-identical — appendCSVField reproduces its quoting rules
 // (UseCRLF=false) exactly, and the encoder equivalence test holds the
 // two byte-for-byte — so the determinism contract (output bytes,
@@ -31,6 +32,14 @@ var encBufs = sync.Pool{
 		return &b
 	},
 }
+
+// ipOctets holds each octet's decimal form, for AppendIP.
+var ipOctets = func() (t [256]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
 
 // AppendCSVHeader appends the schema's header row, newline-terminated,
 // to dst.
@@ -75,13 +84,13 @@ func (t *Table) AppendCSVRow(dst []byte, r int) []byte {
 // address — the append form of FormatIP, byte-identical to it.
 func AppendIP(dst []byte, v int64) []byte {
 	u := uint32(v)
-	dst = strconv.AppendUint(dst, uint64(u>>24), 10)
+	dst = append(dst, ipOctets[u>>24]...)
 	dst = append(dst, '.')
-	dst = strconv.AppendUint(dst, uint64(u>>16&0xff), 10)
+	dst = append(dst, ipOctets[u>>16&0xff]...)
 	dst = append(dst, '.')
-	dst = strconv.AppendUint(dst, uint64(u>>8&0xff), 10)
+	dst = append(dst, ipOctets[u>>8&0xff]...)
 	dst = append(dst, '.')
-	return strconv.AppendUint(dst, uint64(u&0xff), 10)
+	return append(dst, ipOctets[u&0xff]...)
 }
 
 // appendCSVField appends one field with encoding/csv's quoting rules:

@@ -879,6 +879,15 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 	if err != nil {
 		return nil, false, err
 	}
+	// A plain release starts from the table's prepared form, built on
+	// the first plain submit. Building it here, outside q.mu, keeps the
+	// work off the admission lock, and a table preprocessing refuses
+	// costs a 400 rather than ρ.
+	if span == 0 && !sr.Follow {
+		if _, err := d.Prepared(); err != nil {
+			return nil, false, err
+		}
+	}
 
 	key := jobCacheKey(d.ID, cfg, span, sr.Follow, epoch)
 	// The whole admission — cache probe, charge, registration, and the
@@ -1229,7 +1238,11 @@ func (q *Queue) synthesize(j *Job, d *Dataset, spool *resultSpool, profCtx conte
 	var opts netdpsyn.StreamOptions
 	switch {
 	case !j.windowed():
-		src = &wholeTrace{t: d.Table()}
+		prep, err := d.Prepared()
+		if err != nil {
+			return 0, err
+		}
+		src = &wholeTrace{t: d.Table(), prep: prep}
 	case j.Follow:
 		src = j.feed.Live()
 	case d.Streaming():
@@ -1309,13 +1322,17 @@ func (q *Queue) synthesize(j *Job, d *Dataset, spool *resultSpool, profCtx conte
 // wholeTrace is a plain job's source: the registered table itself as
 // one window (no copy). ID 0 seeds the window with the job's Seed, so
 // the release is Synthesize's byte for byte, and reporting one window
-// gives that window the job's whole worker share.
+// gives that window the job's whole worker share. It reports the
+// dataset's prepared form, so the release starts from noise.
 type wholeTrace struct {
 	t    *netdpsyn.Table
+	prep *core.Prepared
 	done bool
 }
 
 func (s *wholeTrace) Windows() int { return 1 }
+
+func (s *wholeTrace) Prepared() *core.Prepared { return s.prep }
 
 func (s *wholeTrace) Next() (netdpsyn.Window, error) {
 	if s.done {

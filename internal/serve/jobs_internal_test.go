@@ -8,6 +8,7 @@ import (
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
+	"github.com/netdpsyn/netdpsyn/internal/core"
 	"github.com/netdpsyn/netdpsyn/internal/datagen"
 )
 
@@ -184,17 +185,31 @@ func TestJobMetadataSweep(t *testing.T) {
 // the registered table itself, not a copy, then io.EOF. It must
 // report its window count through the WindowSource, because the
 // engine splits the job's workers by it — without it the one window
-// would run on a single worker. An empty table is refused with
+// would run on a single worker — and the dataset's prepared form,
+// built once, through core.PreparedSource, or the release would
+// prepare the table again. An empty table is refused with
 // Synthesize's error instead of releasing nothing.
 func TestWholeTraceSource(t *testing.T) {
 	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var src netdpsyn.WindowSource = &wholeTrace{t: raw}
+	d := &Dataset{ID: "ds-1", table: raw}
+	prep, err := d.Prepared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := d.Prepared(); again != prep || err != nil {
+		t.Fatalf("second Prepared = (%p, %v), want the first build %p", again, err, prep)
+	}
+	var src netdpsyn.WindowSource = &wholeTrace{t: raw, prep: prep}
 	wc, ok := src.(interface{ Windows() int })
 	if !ok || wc.Windows() != 1 {
 		t.Fatalf("plain source reports no window count of 1 (ok=%v)", ok)
+	}
+	ps, ok := src.(core.PreparedSource)
+	if !ok || ps.Prepared() != prep {
+		t.Fatalf("plain source does not report the dataset's prepared form (ok=%v)", ok)
 	}
 	w, err := src.Next()
 	if err != nil || w.ID != 0 || w.Table != raw {

@@ -146,6 +146,43 @@ func TestPlainJobMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestConcurrentPlainJobsMatchLibrary: plain jobs of one dataset that
+// run two at a time (MaxConcurrentJobs 2) share the dataset's one
+// prepared form, and each result.csv is still the library's bytes.
+func TestConcurrentPlainJobsMatchLibrary(t *testing.T) {
+	csvBody, label := flowCSV(t, 400)
+	table, err := netdpsyn.LoadCSV(strings.NewReader(csvBody), netdpsyn.FlowSchema(label))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []uint64{5, 6, 7, 8}
+	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 2, Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdownSrv(t, s)
+	info, code := register(t, ts, "label="+label+"&budget_rho=1", csvBody)
+	if code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	jobs := make([]string, len(seeds))
+	for i, seed := range seeds {
+		var ack serve.SynthesisResponse
+		req := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: seed}
+		if code := postJSON(t, ts.Client(), ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted {
+			t.Fatalf("seed %d: submit = %d", seed, code)
+		}
+		jobs[i] = ack.JobID
+	}
+	for i, seed := range seeds {
+		if done := pollJob(t, ts.Client(), ts.URL, jobs[i]); done.State != serve.JobDone {
+			t.Fatalf("seed %d: job = %s (%s)", seed, done.State, done.Error)
+		}
+		if body, code := fetchCSV(t, ts, jobs[i]); code != http.StatusOK || body != libraryPlainCSV(t, table, label, seed) {
+			t.Fatalf("seed %d: result.csv = %d (%d bytes), want the library's bytes", seed, code, len(body))
+		}
+	}
+}
+
 // TestJobTraceAfterResurrection: a trace entry's rho_charged is what
 // that run charged. The first run of a plain job and of a span job
 // reads the job's ρ on every entry; evicting the result and

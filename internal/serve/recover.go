@@ -89,15 +89,12 @@ func restoreState(reg *Registry, q *Queue, store *persist.Store, st *persist.Sta
 		// never reuse it (reuse would overwrite the old spool and
 		// conflate two ledgers in the durable state).
 		reg.reserve(ds.ID)
-		var schema *netdpsyn.Schema
-		switch ds.Kind {
-		case "flow":
-			schema = netdpsyn.FlowSchema(ds.Label)
-		case "packet":
-			schema = netdpsyn.PacketSchema()
-		default:
+		schema, err := journaledSchema(ds.Kind, ds.Label)
+		if err != nil {
+			// Registration refuses such a schema, so only a hand-edited
+			// journal holds one: skip it as an unknown kind is skipped.
 			info.Warnings = append(info.Warnings,
-				fmt.Sprintf("dataset %s: unknown schema kind %q, not restored", ds.ID, ds.Kind))
+				fmt.Sprintf("dataset %s: %v, not restored", ds.ID, err))
 			continue
 		}
 		spoolPath := store.SpoolPath(ds.Spool)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
+	"github.com/netdpsyn/netdpsyn/internal/core"
 	"github.com/netdpsyn/netdpsyn/internal/serve/persist"
 )
 
@@ -52,12 +53,34 @@ type Dataset struct {
 	// seal can wait reservations out.
 	pending  map[int64]bool
 	feedCond *sync.Cond
+
+	// prepOnce builds prep (or prepErr) once; see Prepared.
+	prepOnce sync.Once
+	prep     *core.Prepared
+	prepErr  error
 }
 
 // Table returns the registered trace table (nil for streaming
 // datasets). Tables are append-only and never mutated after
 // registration, so concurrent reads are safe.
 func (d *Dataset) Table() *netdpsyn.Table { return d.table }
+
+// Prepared returns the data-only half of preprocessing for an
+// in-memory dataset's table — tsdiff and binning's first pass under
+// the pipeline's defaults (core.Prepare) — built on first use and
+// shared read-only by every plain release from then on. The error is
+// kept too: a table that preprocessing refuses fails every plain
+// release the same way. Span, streaming and follow jobs never use it.
+func (d *Dataset) Prepared() (*core.Prepared, error) {
+	d.prepOnce.Do(func() {
+		if d.table == nil {
+			d.prepErr = fmt.Errorf("serve: dataset %s holds no in-memory table", d.ID)
+			return
+		}
+		d.prep, d.prepErr = core.Prepare(d.table, core.DefaultConfig())
+	})
+	return d.prep, d.prepErr
+}
 
 // Schema returns the dataset's trace schema.
 func (d *Dataset) Schema() *netdpsyn.Schema { return d.schema }

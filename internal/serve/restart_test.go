@@ -888,3 +888,136 @@ func TestRestartReplaysLegacySpanJournal(t *testing.T) {
 		shutdownServer(t, s)
 	}
 }
+
+// TestFlowLabelCollision: a flow label that repeats a field's name is
+// refused at registration with a 400 naming the clash — a flow
+// field's name once panicked the handler (the client saw EOF), and
+// tsdiff once registered and then failed every release after its
+// charge. A hand-edited journal holding a flow-field label is skipped
+// at recovery with a warning, not a panic; a tsdiff-labelled dataset
+// journaled before registration refused it still restores with its
+// spend, and its plain releases get a 400 before any charge.
+func TestFlowLabelCollision(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: 200, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := raw.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// labelled is the trace with its label column renamed.
+	labelled := func(label string) string {
+		header, rest, _ := strings.Cut(buf.String(), "\n")
+		return strings.Replace(header, datagen.LabelField(datagen.TON), label, 1) + "\n" + rest
+	}
+
+	s0, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts0 := httptest.NewServer(s0.Handler())
+	for _, label := range []string{"tsdiff", "srcip", "ts", "proto"} {
+		resp, err := ts0.Client().Post(ts0.URL+"/datasets?schema=flow&label="+label, "text/csv", strings.NewReader(labelled(label)))
+		if err != nil {
+			t.Fatalf("label %s: %v", label, err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+label+`"`) || !strings.Contains(e.Error, "collides") {
+			t.Fatalf("label %s: register = %d %q (%v), want a 400 naming the clash", label, resp.StatusCode, e.Error, err)
+		}
+	}
+	if n := len(s0.reg.List()); n != 0 {
+		t.Fatalf("refused registrations left %d dataset(s)", n)
+	}
+	ts0.Close()
+	shutdownServer(t, s0)
+
+	// What only a hand edit (srcip) or a daemon from before the check
+	// (tsdiff) could have journaled, with one charged, failed release
+	// against the tsdiff dataset.
+	rho, err := netdpsyn.RhoFromEpsDelta(1.0, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range []string{"srcip", "tsdiff"} {
+		id := fmt.Sprintf("ds-%d", i+1)
+		name, err := store.WriteSpool(id, []byte(labelled(label)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendDataset(persist.DatasetRecord{ID: id, Kind: "flow", Label: label,
+			CeilingRho: 1, Delta: 1e-5, Spool: name, Registered: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.AppendCharge(persist.ChargeRecord{JobID: "job-1", DatasetID: "ds-2", Rho: rho,
+		Config: netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 1}, Submitted: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendTerminal(persist.TerminalRecord{JobID: "job-1", State: string(JobFailed), Error: `duplicate field "tsdiff"`}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Options{StateDir: dir, MaxConcurrentJobs: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, s)
+	if info := s.Recovery(); info.Datasets != 1 || len(info.Warnings) != 1 || !strings.Contains(info.Warnings[0], "ds-1") || !strings.Contains(info.Warnings[0], "collides") {
+		t.Fatalf("recovery = %+v, want ds-1 skipped for its label and ds-2 restored", info)
+	}
+	if _, ok := s.reg.Get("ds-1"); ok {
+		t.Fatal("the srcip-labelled dataset was restored")
+	}
+	d, ok := s.reg.Get("ds-2")
+	if !ok {
+		t.Fatal("the tsdiff-labelled dataset was not restored")
+	}
+	if got := d.Budget().Snapshot().SpentRho; math.Abs(got-rho) > 1e-12 {
+		t.Fatalf("restored spend = %v, want the journaled %v", got, rho)
+	}
+	ack, code := submit(t, ts, "ds-2", SynthesisRequest{Epsilon: 1, Iterations: 3, Seed: 2})
+	if code != http.StatusBadRequest {
+		t.Fatalf("plain release of the tsdiff-labelled dataset = %d %+v, want 400", code, ack)
+	}
+	if got := d.Budget().Snapshot().SpentRho; math.Abs(got-rho) > 1e-12 {
+		t.Fatalf("a refused release moved spend to %v (was %v)", got, rho)
+	}
+
+	// The packet schema has no label field: a label passed with it is
+	// dropped, not stored.
+	pkt, err := datagen.Generate(datagen.CAIDA, datagen.Config{Rows: 200, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pbuf bytes.Buffer
+	if err := pkt.WriteCSV(&pbuf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/datasets?schema=packet&label=x", "text/csv", &pbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info Info
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated || info.Label != "" {
+		t.Fatalf("packet register with a label = %d %+v (%v), want 201 with no label", resp.StatusCode, info, err)
+	}
+	if pd, ok := s.reg.Get(info.ID); !ok || pd.Info().Label != "" {
+		t.Fatalf("registered packet dataset %s keeps a label", info.ID)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	netdpsyn "github.com/netdpsyn/netdpsyn"
 	"github.com/netdpsyn/netdpsyn/internal/obs"
 	"github.com/netdpsyn/netdpsyn/internal/serve/persist"
+	"github.com/netdpsyn/netdpsyn/internal/trace"
 )
 
 // Options configures the service.
@@ -413,19 +414,46 @@ func badPort(t *netdpsyn.Table) (string, bool) {
 	return fmt.Sprintf("row %d: %s %d outside 0–65535", r+1, t.Schema().Fields[c].Name, t.Value(r, c)), true
 }
 
-// schemaFor resolves the schema named by a dataset's kind/label pair
-// (normalizing the label the same way for registration and recovery).
+// schemaFor resolves the schema a registration names by its
+// kind/label pair, normalizing the label (a packet dataset has none).
+// A flow label names one more field, so it may not repeat a flow
+// field's name (no schema could hold both) nor tsdiff, the field
+// preprocessing adds (every release would fail).
 func schemaFor(kind, label string) (*netdpsyn.Schema, string, error) {
 	switch kind {
 	case "flow":
 		if label == "" {
-			label = "label"
+			label = trace.FieldLabel
 		}
-		return netdpsyn.FlowSchema(label), label, nil
+		if label == trace.FieldTSDiff {
+			return nil, "", fmt.Errorf("flow label %q collides with the %q field synthesis adds", label, trace.FieldTSDiff)
+		}
 	case "packet":
-		return netdpsyn.PacketSchema(), "", nil
+		label = ""
+	}
+	schema, err := journaledSchema(kind, label)
+	if err != nil {
+		return nil, "", err
+	}
+	return schema, label, nil
+}
+
+// journaledSchema builds the schema of a dataset's kind and
+// normalized label. It refuses a flow label that repeats a flow
+// field's name (no schema has two fields of one name), but not tsdiff:
+// a dataset registered under that label before schemaFor refused it
+// must still restore, so that its spend replays.
+func journaledSchema(kind, label string) (*netdpsyn.Schema, error) {
+	switch kind {
+	case "flow":
+		if label != trace.FieldLabel && netdpsyn.FlowSchema(trace.FieldLabel).Has(label) {
+			return nil, fmt.Errorf("flow label %q collides with the flow field %q", label, label)
+		}
+		return netdpsyn.FlowSchema(label), nil
+	case "packet":
+		return netdpsyn.PacketSchema(), nil
 	default:
-		return nil, "", fmt.Errorf("unknown schema %q (want flow or packet)", kind)
+		return nil, fmt.Errorf("unknown schema %q (want flow or packet)", kind)
 	}
 }
 

@@ -57,9 +57,10 @@
 // RESUMES at the next bucket with exact per-key ledger positions.
 // Without it, all state is in-memory and dies with the process.
 //
-// Result retention: -max-results bounds how many finished results are
-// kept (in memory and under results/), and -result-ttl ages them out;
-// evicted results answer 410 Gone and an identical resubmit
+// Result retention: each finished release lives in one result spool —
+// a file under results/ with -state-dir, memory without it.
+// -max-results bounds how many spools are kept, and -result-ttl ages
+// them out; evicted results answer 410 Gone and an identical resubmit
 // regenerates them at zero budget cost.
 //
 // The daemon drains admitted jobs on SIGINT/SIGTERM before exiting
@@ -94,7 +95,7 @@ func main() {
 		stream      = flag.Bool("stream", false, "accept streaming registrations (?stream=1) without -state-dir by spooling uploads to a temp dir (not restart-safe)")
 		follow      = flag.Bool("follow", false, "accept live window-feed registrations (?feed=1) without -state-dir (in-memory feed, not restart-safe)")
 		sealAfter   = flag.Duration("seal-after", 0, "auto-seal a live feed after this much inactivity so follow jobs finish (0 = only explicit POST /datasets/{id}/seal)")
-		maxResults  = flag.Int("max-results", 0, "max finished results retained, in memory and under results/ (0 = 256); older results answer 410 Gone and regenerate on resubmit at zero budget cost")
+		maxResults  = flag.Int("max-results", 0, "max finished results retained, as files under results/ with -state-dir, in memory without it (0 = 256); older results answer 410 Gone and regenerate on resubmit at zero budget cost")
 		resultTTL   = flag.Duration("result-ttl", 0, "age out finished results older than this (0 = no age sweep)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof (plus a mirrored /metrics) on this separate address (e.g. localhost:6060); empty = disabled. The endpoints are unauthenticated — bind to loopback")
 	)

@@ -56,13 +56,6 @@ type Config struct {
 	// their randomness from (Seed, stage, task index), never from
 	// scheduling (see engine.go).
 	Workers int
-	// UserGroupSize switches from record-level to user-level DP: a
-	// "user" is assumed to contribute at most this many records, so
-	// every mechanism's sensitivity is scaled accordingly (noise
-	// grows ∝ the group size). 0 or 1 means record-level DP, the
-	// paper's granularity; Appendix G names user-level DP as the
-	// natural strengthening.
-	UserGroupSize int
 	// DisableTSDiff, DisableConsistency, and DisableProtocolRules
 	// switch off individual NetDPSyn additions for ablation studies.
 	DisableTSDiff        bool
@@ -299,28 +292,19 @@ func (p *Pipeline) synthesize(ctx context.Context, t *dataset.Table, prep *Prepa
 }
 
 // stageBudget converts (ε, δ) to zCDP and splits the working budget.
-// User-level DP scales every mechanism's sensitivity by the group
-// size k; since the Gaussian mechanism's ρ cost grows as
-// sensitivity², dividing the working budget by k² is equivalent and
-// keeps the later stages unchanged.
 func (p *Pipeline) stageBudget(st *synthState) error {
 	cfg := p.cfg
 	rho, err := dp.RhoFromEpsDelta(cfg.Epsilon, cfg.Delta)
 	if err != nil {
 		return err
 	}
-	workRho := rho
-	if cfg.UserGroupSize > 1 {
-		k := float64(cfg.UserGroupSize)
-		workRho = rho / (k * k)
-	}
-	acct, err := dp.NewAccountant(workRho)
+	acct, err := dp.NewAccountant(rho)
 	if err != nil {
 		return err
 	}
 	parts := acct.Split(cfg.BudgetSplit[0], cfg.BudgetSplit[1], cfg.BudgetSplit[2])
 	st.acct, st.parts = acct, parts
-	st.report.Rho, st.report.RhoBin, st.report.RhoSelect, st.report.RhoPublish = workRho, parts[0], parts[1], parts[2]
+	st.report.Rho, st.report.RhoBin, st.report.RhoSelect, st.report.RhoPublish = rho, parts[0], parts[1], parts[2]
 	return nil
 }
 

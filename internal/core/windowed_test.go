@@ -57,33 +57,3 @@ func TestSynthesizeWindowedNoTimestamp(t *testing.T) {
 		t.Fatal("missing ts must error")
 	}
 }
-
-func TestUserLevelDPScalesNoise(t *testing.T) {
-	raw, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 1200, Seed: 117})
-	if err != nil {
-		t.Fatal(err)
-	}
-	record := fastPipelineConfig()
-	user := fastPipelineConfig()
-	user.UserGroupSize = 8
-	pr, err := NewPipeline(record)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pu, err := NewPipeline(user)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres, err := pr.Synthesize(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ures, err := pu.Synthesize(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The working budget must shrink by k².
-	if ures.Report.Rho*63 > rres.Report.Rho*1.01 {
-		t.Errorf("user-level rho %v should be 64x below record-level %v", ures.Report.Rho, rres.Report.Rho)
-	}
-}

@@ -287,9 +287,9 @@ func (q *Queue) runEvaluate(j *Job, d *Dataset) {
 	q.finishDone(j, synth.NumRows())
 }
 
-// loadReleasedTable materializes the target job's released CSV: the
-// in-memory result when retained, else the result spool. Both are the
-// already-released artifact — reading them is free.
+// loadReleasedTable materializes the target job's released CSV by
+// decoding its result spool, the already-released artifact — reading
+// it is free.
 func (q *Queue) loadReleasedTable(targetID string, d *Dataset) (*netdpsyn.Table, error) {
 	target, ok := q.Get(targetID)
 	if !ok {
@@ -297,9 +297,6 @@ func (q *Queue) loadReleasedTable(targetID string, d *Dataset) (*netdpsyn.Table,
 	}
 	if target.State() != JobDone {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrEvalTargetNotDone, targetID, target.State())
-	}
-	if t, ok := target.Result(); ok {
-		return t, nil
 	}
 	rs := target.Spool()
 	if rs == nil || !rs.servable() {
@@ -388,9 +385,9 @@ func scoreAgainstRaw(res *EvaluationResult, raw, synth *netdpsyn.Table, req Eval
 // evalFeatures is the shared feature extraction of the ML and MIA
 // metrics: raw train/test splits and the synthesized table, all with
 // label and categorical feature codes aligned to the raw table's
-// dictionaries (a synthesized CSV re-loaded from disk assigns codes
-// in first-appearance order, so without the alignment the scores
-// would depend on which copy of the release was read).
+// dictionaries (a release decoded from its result spool assigns codes
+// in first-appearance order, so without the alignment its features
+// would not mean what the raw splits' features mean).
 type evalFeatureSet struct {
 	trainX, testX, synthX [][]float64
 	trainY, testY, synthY []int

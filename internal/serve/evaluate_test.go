@@ -510,11 +510,10 @@ func TestEvaluateRestartDurability(t *testing.T) {
 }
 
 // TestEvaluateScoresIndependentOfReleaseCopy: the same release scores
-// the same whether the evaluation reads the in-memory result or the
-// result spool re-read after a restart. The re-read CSV interns
-// categorical values (proto) in first-appearance order, so the scores
-// hold only if the synthesized features are re-coded through the raw
-// table's dictionaries.
+// the same whether the evaluation decodes the result spool in the
+// daemon that wrote it or the results/ file a restarted daemon
+// recovered. (TestEvaluateScoresDecodedRelease checks that a decoded
+// release scores like the synthesized table itself.)
 func TestEvaluateScoresIndependentOfReleaseCopy(t *testing.T) {
 	dir := t.TempDir()
 	opts := serve.Options{MaxConcurrentJobs: 1, Workers: 1, StateDir: dir}

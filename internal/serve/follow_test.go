@@ -551,11 +551,10 @@ func TestDeclaredRangeOverflowRejected(t *testing.T) {
 	}
 }
 
-// TestResultRetentionPolicy drives the results/ spool retention
-// satellite: -max-results bounds the files on disk (not just the
-// in-memory tables), the TTL sweep ages them out, evicted results
-// answer 410 Gone, and an identical resubmit regenerates the evicted
-// file at zero budget cost.
+// TestResultRetentionPolicy drives result retention on a durable
+// daemon: -max-results bounds the results/ files on disk, the TTL
+// sweep ages them out, evicted results answer 410 Gone, and an
+// identical resubmit regenerates the evicted file at zero budget cost.
 func TestResultRetentionPolicy(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 1, StateDir: dir, MaxResults: 1})
@@ -581,8 +580,8 @@ func TestResultRetentionPolicy(t *testing.T) {
 		t.Fatalf("job A's result file missing: %v", err)
 	}
 
-	// A second finished job pushes A past -max-results=1: the FILE
-	// goes too, not just the in-memory table.
+	// A second finished job pushes A past -max-results=1: its file
+	// goes.
 	reqB := reqA
 	reqB.Seed = 2
 	var ackB serve.SynthesisResponse

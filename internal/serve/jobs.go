@@ -101,17 +101,15 @@ type Job struct {
 	// released window (plain jobs: one whole-trace entry), each with
 	// its stage spans. Appended as windows complete, so GET /jobs/{id}
 	// shows the trace growing while the job runs.
-	trace []WindowTrace
-	// result is a plain job's synthesized table, kept in memory; nil
-	// for windowed jobs and once evicted from the retention window.
-	result *netdpsyn.Table
+	trace  []WindowTrace
 	stages map[string]StageMS
 	// evaluation holds a finished evaluation job's scores.
 	evaluation *EvaluationResult
-	// spool streams the synthesized CSV incrementally (windowed jobs)
-	// and/or persists it under the state dir (any job kind with a
-	// store), so result.csv can follow a running job and a restarted
-	// daemon serves finished results without recomputation.
+	// spool is the only copy of a synthesis job's release (see
+	// attachSpool): result.csv follows it while a windowed job runs and
+	// serves it whole once sealed. A done job holds a result exactly
+	// when it has a spool; the retention sweep evicts it and sets it
+	// nil. Evaluation jobs never have one.
 	spool *resultSpool
 
 	done chan struct{}
@@ -143,7 +141,7 @@ func (j *Job) resurrect() bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobDone || j.result != nil {
+	if j.state != JobDone {
 		return false
 	}
 	if j.spool != nil && j.spool.servable() {
@@ -167,18 +165,6 @@ func (j *Job) State() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// Result returns a plain job's synthesized table, or false while the
-// job is not successfully finished (or its result has been evicted
-// from the retention window, or lives only in its spool).
-func (j *Job) Result() (*netdpsyn.Table, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobDone || j.result == nil {
-		return nil, false
-	}
-	return j.result, true
 }
 
 // StageMS is a stage's wall/busy split in milliseconds, the JSON
@@ -432,26 +418,26 @@ type Queue struct {
 	reg        *Registry
 	perJob     int // engine workers per concurrent job
 	maxBacklog int
-	// maxResults bounds how many finished jobs keep their result —
-	// the in-memory synthesized table AND the results/ spool file:
-	// without a bound, a long-lived daemon's RSS grows by one full
-	// trace per admitted job and its results/ dir grows one file per
-	// job forever (the ROADMAP retention follow-on). resultTTL, when
-	// set, additionally evicts results older than it (age sweep).
-	// Evicted jobs keep their metadata (state, ρ, record count) and
-	// their cache entry; result.csv answers 410 Gone, and resubmitting
-	// the identical request resurrects the job — re-running the same
-	// deterministic computation — at zero budget cost.
+	// maxResults bounds how many finished jobs keep their result
+	// spool — a results/ file on a durable queue, a buffer in memory
+	// on a volatile one: without a bound, a long-lived daemon's
+	// results/ dir (or its RSS) grows by one release per admitted job
+	// forever. resultTTL, when set, additionally evicts results older
+	// than it (age sweep). Evicted jobs keep their metadata (state, ρ,
+	// record count) and their cache entry; result.csv answers 410
+	// Gone, and resubmitting the identical request resurrects the job
+	// — re-running the same deterministic computation — at zero budget
+	// cost.
 	maxResults int
 	resultTTL  time.Duration
 	sweepStop  chan struct{}
 	// maxJobs bounds the job *metadata* maps the same way: past the
-	// cap, the oldest jobs that no longer hold a result (failed, or
-	// done and evicted) are forgotten entirely — their ids 404 and
-	// their cache entries go with them, so an identical resubmit is
-	// re-admitted with a fresh charge (conservative: the ledger never
-	// under-counts). In-flight jobs and retained results are never
-	// forgotten.
+	// cap, the oldest jobs that hold no result (failed, or done with
+	// no spool: evicted, or an evaluation) are forgotten entirely —
+	// their ids 404 and their cache entries go with them, so an
+	// identical resubmit is re-admitted with a fresh charge
+	// (conservative: the ledger never under-counts). In-flight jobs
+	// and retained results are never forgotten.
 	maxJobs int
 	// store, when non-nil, journals every admission (before the job
 	// runs — see Budget.Charge) and every terminal transition, so a
@@ -488,7 +474,7 @@ type Queue struct {
 	// disk flush.
 	jobsMu   sync.RWMutex
 	jobs     map[string]*Job
-	retained []*Job // done jobs still holding their result, oldest first
+	retained []*Job // done jobs still holding their spool, oldest first
 	backlog  int    // jobs admitted but not yet picked up by a runner
 	closed   bool
 
@@ -519,7 +505,7 @@ func validBucketRange(lo, hi *int64) error {
 // pipelines are noise-dominated and the job metadata (per-window
 // progress, spool chunks) stops being worth tracking. A span job's
 // window count is data-dependent and unknown until the job runs, so
-// runWindowed fails the job when it crosses the cap (a window_span of
+// synthesize fails the job when it crosses the cap (a window_span of
 // 1 against fine-grained timestamps would otherwise spin up one
 // pipeline per distinct timestamp); declared bucket ranges and feed
 // epochs are held to it up front.
@@ -553,10 +539,11 @@ type QueueOptions struct {
 	// MaxWindowRows caps a streaming time window's records and a
 	// request's records (≤ 0 means the ~1M default).
 	MaxWindowRows int
-	// MaxResults bounds retained results — in memory and in the
-	// results/ spool (≤ 0 means 256). ResultTTL additionally evicts
-	// results older than it (0 = no age sweep). Both preserve the 410
-	// Gone + zero-cost-resubmit contract.
+	// MaxResults bounds retained result spools — results/ files on a
+	// durable queue, in-memory buffers on a volatile one (≤ 0 means
+	// 256). ResultTTL additionally evicts results older than it (0 =
+	// no age sweep). Both preserve the 410 Gone + zero-cost-resubmit
+	// contract.
 	MaxResults int
 	ResultTTL  time.Duration
 	// Metrics is the service instrument hub to feed (nil = a private
@@ -629,8 +616,8 @@ func NewQueue(reg *Registry, opts QueueOptions) *Queue {
 
 // ttlSweeper ages results out of the retention window: every quarter
 // TTL (clamped to a sane tick) it evicts retained results whose jobs
-// finished more than resultTTL ago — memory dropped, spool file
-// deleted, 410 Gone thereafter.
+// finished more than resultTTL ago — spool file deleted or buffer
+// dropped, 410 Gone thereafter.
 func (q *Queue) ttlSweeper() {
 	defer q.wg.Done()
 	tick := q.resultTTL / 4
@@ -687,21 +674,30 @@ func (q *Queue) trimRetainedLocked() {
 	}
 }
 
-// evictResultLocked drops a done job's result from every backend: the
-// in-memory table, a memory spool's buffer, and a file spool's
-// results/ file. The job's metadata and cache entry survive, so
-// result.csv answers 410 Gone and an identical resubmit regenerates
-// deterministically at zero charge. Caller holds the job's mu.
+// evictResultLocked evicts a retained job's spool, whichever its
+// backend (see resultSpool.evict), and forgets it: the job then holds
+// no result. Its metadata and cache entry survive, so result.csv
+// answers 410 Gone and an identical resubmit regenerates
+// deterministically at zero charge. A job resurrected between
+// finishDone's state change and its retention entry is no longer done:
+// its runner owns the new spool. Caller holds the job's mu.
 func evictResultLocked(j *Job) {
-	j.result = nil
-	if j.spool == nil {
+	if j.state != JobDone || j.spool == nil {
 		return
 	}
-	if j.spool.drop() {
-		j.spool = nil // memory spool: buffer gone with it
-		return
+	j.spool.evict()
+	j.spool = nil
+}
+
+// unretainLocked drops a resurrected job's retention entry: the job
+// re-runs, and its finish queues a fresh one. Caller holds q.mu.
+func (q *Queue) unretainLocked(j *Job) {
+	for i, r := range q.retained {
+		if r == j {
+			q.retained = append(q.retained[:i], q.retained[i+1:]...)
+			return
+		}
 	}
-	j.spool.evict() // file spool: delete the results/ file
 }
 
 // SubmitRequest shapes a synthesis admission beyond the pipeline
@@ -912,6 +908,7 @@ func (q *Queue) Submit(d *Dataset, cfg netdpsyn.Config, sr SubmitRequest) (*Job,
 			// Done but no longer servable (evicted, or its result file
 			// lost): re-enqueue the same deterministic computation at
 			// zero charge.
+			q.unretainLocked(prev)
 			q.attachSpool(prev)
 			q.backlog++
 			q.pending <- prev
@@ -1030,30 +1027,32 @@ func (q *Queue) stateCount(st JobState) int {
 	return n
 }
 
-// attachSpool gives an admitted synthesis job its result spool:
-// file-backed under the state dir when the queue is durable (the
-// result then survives a restart), in-memory for windowed jobs on a
-// volatile queue (so result.csv can still stream windows as they
-// complete). Plain jobs on a volatile queue keep using the in-memory
-// result only, and evaluation jobs journal their scores instead.
-// Failure to open the file degrades to no spool — the job still runs;
-// only persistence/streaming of its result is lost.
+// attachSpool gives an admitted synthesis job its result spool, the
+// one place its release lives: a results/ file when the queue is
+// durable (the result then survives a restart), memory otherwise.
+// When the file cannot be created the job falls back to a memory
+// spool and one warning is logged: the result still serves, only not
+// across a restart. Evaluation jobs get none — their scores ride on
+// the job's terminal record.
 func (q *Queue) attachSpool(j *Job) {
-	switch {
-	case j.Evaluate:
-		// No spool: the scores ride on the job's terminal record.
-	case q.store != nil:
-		if rs, err := newResultSpool(q.store.ResultPath(j.ID)); err == nil {
-			j.mu.Lock()
-			j.spool = rs
-			j.mu.Unlock()
-		}
-	case j.windowed():
-		rs, _ := newResultSpool("")
-		j.mu.Lock()
-		j.spool = rs
-		j.mu.Unlock()
+	if j.Evaluate {
+		return
 	}
+	path := ""
+	if q.store != nil {
+		path = q.store.ResultPath(j.ID)
+	}
+	rs, err := newResultSpool(path)
+	if err != nil {
+		q.log.LogAttrs(context.Background(), slog.LevelWarn, "result file not created; keeping the result in memory",
+			slog.String("job", j.ID),
+			slog.String("error", err.Error()),
+		)
+		rs, _ = newResultSpool("")
+	}
+	j.mu.Lock()
+	j.spool = rs
+	j.mu.Unlock()
 }
 
 // windowed reports whether the job releases time windows charged on
@@ -1068,8 +1067,10 @@ func (j *Job) Spool() *resultSpool {
 	return j.spool
 }
 
-// sweepJobs drops the oldest resultless terminal jobs once the
-// metadata maps exceed maxJobs. Caller holds q.mu.
+// sweepJobs drops the oldest resultless terminal jobs — failed, or
+// done with no spool — once the metadata maps exceed maxJobs. A done
+// job with a spool holds a retained result, which only the retention
+// sweep lets go. Caller holds q.mu.
 func (q *Queue) sweepJobs() {
 	q.jobsMu.Lock()
 	defer q.jobsMu.Unlock()
@@ -1081,7 +1082,7 @@ func (q *Queue) sweepJobs() {
 		evictable := false
 		if len(q.jobs) > q.maxJobs {
 			old.mu.Lock()
-			evictable = old.state == JobFailed || (old.state == JobDone && old.result == nil)
+			evictable = old.state == JobFailed || (old.state == JobDone && old.spool == nil)
 			old.mu.Unlock()
 		}
 		if !evictable {
@@ -1091,11 +1092,6 @@ func (q *Queue) sweepJobs() {
 		delete(q.jobs, old.ID)
 		if q.cache[old.cacheKey] == old {
 			delete(q.cache, old.cacheKey)
-		}
-		// A forgotten job's spooled result goes with it: its id 404s,
-		// so the file could never be served again anyway.
-		if rs := old.Spool(); rs != nil {
-			rs.remove()
 		}
 	}
 	// Zero the dropped tail so the backing array releases the Jobs.
@@ -1208,12 +1204,14 @@ func (q *Queue) run(j *Job, profCtx context.Context) {
 		return
 	}
 	records, err := q.synthesize(j, d, spool, profCtx)
+	if err == nil {
+		// The done terminal vouches for the result file after a crash,
+		// so a seal that could not make it durable fails the job.
+		err = spool.finish("")
+	}
 	if err != nil {
 		q.fail(j, err)
 		return
-	}
-	if spool != nil {
-		_ = spool.finish("")
 	}
 	q.finishDone(j, records)
 }
@@ -1269,18 +1267,13 @@ func (q *Queue) synthesize(j *Job, d *Dataset, spool *resultSpool, profCtx conte
 	wroteHeader := false
 	var prevWindow *netdpsyn.MarginalCounts
 	err = syn.WithProfileContext(profCtx).SynthesizeSource(src, opts, func(wr netdpsyn.WindowResult) error {
-		if spool != nil {
-			write := wr.Table.WriteCSV
-			if wroteHeader {
-				write = wr.Table.WriteCSVBody
-			}
-			wroteHeader = true
-			if err := write(spool); err != nil {
-				if j.windowed() {
-					return err
-				}
-				_ = spool.finish(err.Error()) // a plain job still holds its table in memory
-			}
+		write := wr.Table.WriteCSV
+		if wroteHeader {
+			write = wr.Table.WriteCSVBody
+		}
+		wroteHeader = true
+		if err := write(spool); err != nil {
+			return err
 		}
 		records += wr.Records
 		// Quality is O(window rows); compute it before taking j.mu so a
@@ -1298,8 +1291,6 @@ func (q *Queue) synthesize(j *Job, d *Dataset, spool *resultSpool, profCtx conte
 			b := wr.Bucket // &wr.Bucket would keep wr.Table alive with the trace
 			entry.Bucket = &b
 			j.windowsDone++
-		} else {
-			j.result = wr.Table
 		}
 		j.trace = append(j.trace, entry)
 		emitted := len(j.trace)
@@ -1398,12 +1389,12 @@ func (q *Queue) finishDone(j *Job, records int) {
 	j.state = JobDone
 	j.finished = time.Now()
 	j.records = records
-	// Capture the channel under the lock: once the result is set, a
+	// Capture the channel under the lock: once the job is done, a
 	// concurrent eviction + identical Submit could resurrect the job
 	// and install a fresh channel; the close must hit the channel the
 	// current waiters hold.
 	done := j.done
-	retain := j.result != nil || j.spool != nil
+	retain := j.spool != nil
 	eval := j.evaluation
 	j.mu.Unlock()
 	if retain {

@@ -3,9 +3,12 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +146,106 @@ func TestPlainJobMatchesLibrary(t *testing.T) {
 		}
 		ts.Close()
 		shutdownSrv(t, s)
+	}
+}
+
+// TestResultSpoolMemoryFallback: a durable daemon whose results/
+// cannot take a file keeps each release in a memory spool, with one
+// warning line per job. Plain and span jobs both finish done and serve
+// the library's bytes, and an identical resubmit is a cache hit that
+// serves at once. No file was written, so after a restart (results/ a
+// directory again) the recovered jobs are done with no result: 410,
+// and an identical resubmit regenerates the same bytes at zero charge.
+func TestResultSpoolMemoryFallback(t *testing.T) {
+	dir := t.TempDir()
+	logBuf := &syncBuffer{}
+	s := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 1, StateDir: dir,
+		Logger: slog.New(slog.NewTextHandler(logBuf, nil))})
+	results := filepath.Join(dir, "results")
+	if err := os.RemoveAll(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(results, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+
+	csvBody, label := sortedFlowCSV(t, 300)
+	table, err := netdpsyn.LoadCSV(strings.NewReader(csvBody), netdpsyn.FlowSchema(label))
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := flowSpan(t, csvBody, label, 3)
+	info, code := register(t, ts, "label="+label+"&budget_rho=1", csvBody)
+	if code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	plain := serve.SynthesisRequest{Epsilon: 1, Delta: 1e-5, Iterations: 3, Seed: 5}
+	spanReq := plain
+	spanReq.WindowSpan = span
+	kinds := []struct {
+		name string
+		req  serve.SynthesisRequest
+		want string
+	}{
+		{"plain", plain, libraryPlainCSV(t, table, label, 5)},
+		{"span", spanReq, librarySpanCSV(t, table, netdpsyn.Config{Epsilon: 1, Delta: 1e-5, UpdateIterations: 3, Seed: 5}, span)},
+	}
+	submitDone := func(ts *httptest.Server, name string, req serve.SynthesisRequest, wantCached bool) string {
+		t.Helper()
+		var ack serve.SynthesisResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/datasets/"+info.ID+"/synthesize", req, &ack); code != http.StatusAccepted || ack.Cached != wantCached {
+			t.Fatalf("%s: submit = %d %+v, want cached=%v", name, code, ack, wantCached)
+		}
+		if done := pollJob(t, ts.Client(), ts.URL, ack.JobID); done.State != serve.JobDone {
+			t.Fatalf("%s: job = %s (%s)", name, done.State, done.Error)
+		}
+		return ack.JobID
+	}
+	ids := make([]string, len(kinds))
+	for i, k := range kinds {
+		ids[i] = submitDone(ts, k.name, k.req, false)
+		for _, when := range []string{"first fetch", "after an identical resubmit"} {
+			if body, code := fetchCSV(t, ts, ids[i]); code != http.StatusOK || body != k.want {
+				t.Fatalf("%s %s: result.csv = %d (%d bytes), want the library's %d bytes", k.name, when, code, len(body), len(k.want))
+			}
+			if again := submitDone(ts, k.name, k.req, true); again != ids[i] {
+				t.Fatalf("%s: resubmit = %s, want %s", k.name, again, ids[i])
+			}
+		}
+	}
+	if n := strings.Count(logBuf.String(), "result file not created"); n != len(kinds) {
+		t.Fatalf("%d fallback warnings, want one per job:\n%s", n, logBuf.String())
+	}
+	ts.Close()
+	shutdownSrv(t, s)
+
+	if err := os.Remove(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(results, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, serve.Options{MaxConcurrentJobs: 1, Workers: 1, StateDir: dir})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer shutdownSrv(t, s2)
+	var before, after serve.Status
+	getJSON(t, ts2.Client(), ts2.URL+"/datasets/"+info.ID+"/budget", &before)
+	for i, k := range kinds {
+		if _, code := fetchCSV(t, ts2, ids[i]); code != http.StatusGone {
+			t.Fatalf("%s after restart: result.csv = %d, want 410", k.name, code)
+		}
+		if again := submitDone(ts2, k.name, k.req, true); again != ids[i] {
+			t.Fatalf("%s after restart: resubmit = %s, want %s", k.name, again, ids[i])
+		}
+		if body, code := fetchCSV(t, ts2, ids[i]); code != http.StatusOK || body != k.want {
+			t.Fatalf("%s regenerated: result.csv = %d (%d bytes), want the library's %d bytes", k.name, code, len(body), len(k.want))
+		}
+	}
+	getJSON(t, ts2.Client(), ts2.URL+"/datasets/"+info.ID+"/budget", &after)
+	if after.SpentRho != before.SpentRho {
+		t.Fatalf("regeneration charged the ledger: spent ρ %v → %v", before.SpentRho, after.SpentRho)
 	}
 }
 

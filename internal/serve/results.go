@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -8,18 +9,21 @@ import (
 	"time"
 )
 
-// resultSpool accumulates one job's synthesized CSV incrementally and
-// lets concurrent readers stream it while it is still being written —
-// the mechanism behind result.csv delivering windows as they
-// complete. It has two backends:
+// resultSpool is the one place a synthesis job's release lives. It
+// accumulates the job's CSV incrementally and lets concurrent readers
+// stream it while it is still being written — the mechanism behind
+// result.csv delivering windows as they complete — and, once sealed,
+// serves it whole. It has two backends:
 //
 //   - file-backed (path != ""): appends go to a file under the state
 //     dir's results/ directory; each reader opens its own descriptor.
 //     The file outlives the process, so a restarted daemon serves the
 //     finished result directly instead of regenerating it.
 //   - memory-backed (path == ""): appends go to an in-memory buffer;
-//     used when the daemon runs without durable state. The buffer is
-//     dropped by the result-retention sweep like any in-memory result.
+//     used when the daemon runs without durable state, or when a
+//     results/ file cannot be created.
+//
+// The result-retention sweep evicts either backend (evict).
 //
 // Writes happen from exactly one goroutine (the job runner); finish
 // seals the spool. Readers may arrive any time, including before the
@@ -77,9 +81,12 @@ func (rs *resultSpool) Write(p []byte) (int, error) {
 
 // finish seals the spool. An empty errMsg means the result is
 // complete; file-backed spools are fsync'd so a journaled "done"
-// terminal always finds the full file after a crash. A non-empty
-// errMsg marks the stream failed: readers get the error after the
-// bytes already streamed, and the partial file is deleted.
+// terminal always finds the full file after a crash. When that fsync
+// or the close fails, the file may be torn: it is deleted, the spool
+// fails, and the error is returned so the job fails rather than being
+// journaled done. A non-empty errMsg marks the stream failed: readers
+// get the error after the bytes already streamed, and the partial file
+// is deleted.
 func (rs *resultSpool) finish(errMsg string) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -87,85 +94,65 @@ func (rs *resultSpool) finish(errMsg string) error {
 		return nil
 	}
 	rs.done = true
-	rs.fail = errMsg
 	var err error
 	if rs.f != nil {
 		if errMsg == "" {
 			err = rs.f.Sync()
 		}
-		cerr := rs.f.Close()
-		if err == nil {
+		if cerr := rs.f.Close(); err == nil {
 			err = cerr
 		}
 		rs.f = nil
+		if err != nil && errMsg == "" {
+			errMsg = fmt.Sprintf("seal result: %v", err)
+		}
 		if errMsg != "" {
 			_ = os.Remove(rs.path)
 		}
-	} else if errMsg != "" {
+	}
+	if errMsg != "" {
 		rs.mem = nil
 	}
+	rs.fail = errMsg
 	rs.wake()
 	return err
 }
 
-// drop releases a memory-backed spool's bytes (the result-retention
-// sweep); file-backed spools are untouched here — evict handles their
-// file. Reports whether the spool no longer holds a servable result.
-func (rs *resultSpool) drop() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.path != "" {
-		return false
-	}
-	rs.mem = nil
-	rs.fail = "result evicted from the retention window"
-	rs.wake()
-	return true
-}
-
-// evict deletes a finished file-backed spool's results/ file (the
-// count/TTL retention policy). The spool stays "done" with no
-// failure, so a later reader finds it unservable — the 410 Gone
-// path — rather than failed; an identical resubmit regenerates the
-// file deterministically at zero charge. A still-running spool is
-// left alone: its writer owns the file.
+// evict releases a sealed spool's result (the count/TTL retention
+// policy). A file spool's results/ file is deleted and no failure is
+// set: a reader that already holds a descriptor streams the complete
+// file to a clean EOF. A memory spool's bytes are dropped, so its
+// followers get the eviction error. The job then holds no spool, so
+// result.csv answers 410 Gone and an identical resubmit regenerates
+// the result deterministically at zero charge.
 func (rs *resultSpool) evict() {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.path == "" || !rs.done {
-		return
-	}
-	_ = os.Remove(rs.path)
-	rs.wake()
-}
-
-// remove deletes a file-backed spool's file (jobs forgotten by the
-// metadata sweep).
-func (rs *resultSpool) remove() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.path != "" {
 		_ = os.Remove(rs.path)
-	}
-	rs.mem = nil
-	if !rs.done {
-		rs.done = true
-		rs.fail = "job forgotten"
+	} else {
+		rs.mem = nil
+		rs.fail = "result evicted from the retention window"
 	}
 	rs.wake()
 }
 
-// File opens a finished file-backed spool for zero-copy serving: the
-// descriptor plus its mod time feed http.ServeContent, which stats the
-// file for Content-Length, honors range requests, and hands the body
-// copy to sendfile. ok is false while the job is still streaming,
-// for failed or evicted spools, and for the memory backend — callers
-// fall back to the follow reader.
-func (rs *resultSpool) File() (f *os.File, modTime time.Time, ok bool) {
+// Content opens a sealed, complete spool for whole-result serving: it
+// feeds http.ServeContent, which sets Content-Length, honors range
+// requests and, for the file backend, hands the body copy to sendfile
+// — so the file backend returns the *os.File itself, with its mod
+// time. The memory backend returns a reader over the sealed buffer,
+// which is append-sealed and never mutated, so sharing it is safe. ok
+// is false while the job is still streaming, and for failed or evicted
+// spools.
+func (rs *resultSpool) Content() (c io.ReadSeekCloser, modTime time.Time, ok bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.path == "" || !rs.done || rs.fail != "" {
+	if !rs.done || rs.fail != "" {
 		return nil, time.Time{}, false
+	}
+	if rs.path == "" {
+		return memContent{bytes.NewReader(rs.mem)}, time.Time{}, true
 	}
 	f, err := os.Open(rs.path)
 	if err != nil {
@@ -179,18 +166,10 @@ func (rs *resultSpool) File() (f *os.File, modTime time.Time, ok bool) {
 	return f, st.ModTime(), true
 }
 
-// Bytes returns a finished memory-backed spool's complete contents
-// for whole-result serving (Content-Length, ranges). The slice is the
-// spool's own — append-sealed, never mutated — so sharing it with a
-// response writer is safe.
-func (rs *resultSpool) Bytes() ([]byte, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.path != "" || !rs.done || rs.fail != "" || rs.mem == nil {
-		return nil, false
-	}
-	return rs.mem, true
-}
+// memContent is a memory spool's sealed bytes as Content returns them.
+type memContent struct{ *bytes.Reader }
+
+func (memContent) Close() error { return nil }
 
 // servable reports whether a reader starting now could stream the
 // complete result.
@@ -200,14 +179,11 @@ func (rs *resultSpool) servable() bool {
 	if rs.fail != "" {
 		return false
 	}
-	if rs.path != "" {
-		if !rs.done {
-			return true // still streaming; readers follow
-		}
+	if rs.path != "" && rs.done {
 		_, err := os.Stat(rs.path)
 		return err == nil
 	}
-	return !rs.done || rs.mem != nil
+	return true // still streaming (readers follow), or sealed in memory
 }
 
 func (rs *resultSpool) wake() {
@@ -260,8 +236,8 @@ func (r *spoolReader) Read(p []byte) (int, error) {
 					err = nil // more may be coming; EOF is decided below
 				}
 			} else {
-				// Re-read fail under the same lock as mem: drop()/remove()
-				// can land between the state() snapshot above and here, in
+				// Re-read fail under the same lock as mem: evict() can
+				// land between the state() snapshot above and here, in
 				// which case the stale snapshot's fail is empty while mem
 				// is already gone.
 				r.rs.mu.Lock()

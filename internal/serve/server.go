@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,11 +78,13 @@ type Options struct {
 	// instead of waiting forever on a producer that went away. The
 	// next PUT reopens the feed under a new epoch.
 	SealAfter time.Duration
-	// MaxResults bounds retained results — finished jobs' in-memory
-	// tables and their results/ spool files (≤ 0 means 256); evicted
-	// results answer 410 Gone and regenerate on an identical resubmit
-	// at zero budget cost. ResultTTL additionally evicts results
-	// older than it (0 = no age sweep).
+	// MaxResults bounds retained results (≤ 0 means 256). Each
+	// finished synthesis job keeps its release in one spool — a file
+	// under results/ with a StateDir, memory without one — and this
+	// bounds the spools; evicted results answer 410 Gone and
+	// regenerate on an identical resubmit at zero budget cost.
+	// ResultTTL additionally evicts results older than it (0 = no age
+	// sweep).
 	MaxResults int
 	ResultTTL  time.Duration
 	// Logger receives the service's structured log lines (nil =
@@ -1163,25 +1164,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "job %s is an evaluation; its scores are the evaluation block of GET /jobs/%s", j.ID, j.ID)
 		return
 	}
-	// Zero-copy fast path: a finished file-backed spool is the exact
-	// CSV bytes the job produced, so the whole response is delegated
-	// to http.ServeContent over the descriptor — Content-Length from
-	// the file size, range requests honored, and the body copy handed
-	// to sendfile instead of re-streaming through Go buffers.
-	if rs := j.Spool(); rs != nil {
-		if f, modTime, ok := rs.File(); ok {
-			defer f.Close()
-			s.resultHeaders(w, j)
-			http.ServeContent(w, r, j.ID+".csv", modTime, f)
-			return
-		}
-	}
-	// Fast path: the in-memory result of a finished plain job.
-	if t, ok := j.Result(); ok {
-		s.resultHeaders(w, j)
-		_ = t.WriteCSV(w)
-		return
-	}
 	info := j.Snapshot()
 	rs := j.Spool()
 	switch info.State {
@@ -1189,29 +1171,21 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "job failed: %s", info.Error)
 		return
 	case JobDone:
-		// The job may have finished between the two reads above; only
-		// a re-checked missing result means the spool decides.
-		if t, ok := j.Result(); ok {
-			s.resultHeaders(w, j)
-			_ = t.WriteCSV(w)
-			return
-		}
+		// A sealed spool is the exact CSV bytes the job produced —
+		// including a result recovered from a previous daemon
+		// generation — so the whole response is delegated to
+		// http.ServeContent: Content-Length, range requests, and, for
+		// a results/ file, the body copy handed to sendfile instead of
+		// re-streaming through Go buffers.
 		if rs != nil {
-			// A finished memory-backed spool serves whole too —
-			// Content-Length and ranges, no follow reader.
-			if data, ok := rs.Bytes(); ok {
+			if c, modTime, ok := rs.Content(); ok {
+				defer c.Close()
 				s.resultHeaders(w, j)
-				http.ServeContent(w, r, j.ID+".csv", time.Time{}, bytes.NewReader(data))
-				return
-			}
-			if rs.servable() {
-				// Persisted (or still-buffered) result — including
-				// results recovered from a previous daemon generation.
-				s.streamSpool(w, j, rs)
+				http.ServeContent(w, r, j.ID+".csv", modTime, c)
 				return
 			}
 		}
-		// Aged out of the retention window with no persisted copy.
+		// Aged out of the retention window (or its file lost).
 		// Resubmitting the identical synthesis request regenerates it
 		// at zero budget cost (same deterministic computation, no new
 		// release).

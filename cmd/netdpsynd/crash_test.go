@@ -35,7 +35,7 @@ import (
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
 	"github.com/netdpsyn/netdpsyn/internal/datagen"
-	"github.com/netdpsyn/netdpsyn/internal/obs"
+	"github.com/netdpsyn/netdpsyn/internal/obs/obstest"
 	"github.com/netdpsyn/netdpsyn/internal/serve"
 )
 
@@ -129,7 +129,7 @@ func scrapeMetrics(t *testing.T, base string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
+	if err := obstest.ValidateExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("invalid exposition: %v", err)
 	}
 	return string(body)

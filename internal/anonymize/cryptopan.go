@@ -61,15 +61,6 @@ func (c *CryptoPAn) Anonymize(addr uint32) uint32 {
 	return result ^ addr
 }
 
-// AnonymizeAll maps a column of addresses.
-func (c *CryptoPAn) AnonymizeAll(addrs []int64) []int64 {
-	out := make([]int64, len(addrs))
-	for i, a := range addrs {
-		out[i] = int64(c.Anonymize(uint32(a)))
-	}
-	return out
-}
-
 func padAsUint32(pad [16]byte) uint32 {
 	return uint32(pad[0])<<24 | uint32(pad[1])<<16 | uint32(pad[2])<<8 | uint32(pad[3])
 }

@@ -70,20 +70,6 @@ func TestPrefixPreservationProperty(t *testing.T) {
 	}
 }
 
-func TestAnonymizeAll(t *testing.T) {
-	c, _ := New(testKey())
-	in := []int64{1, 2, 3}
-	out := c.AnonymizeAll(in)
-	if len(out) != 3 {
-		t.Fatal("length mismatch")
-	}
-	for i := range in {
-		if out[i] == in[i] {
-			t.Logf("note: %d maps to itself (possible but rare)", in[i])
-		}
-	}
-}
-
 func TestCommonPrefixLen(t *testing.T) {
 	if commonPrefixLen(0, 0) != 32 {
 		t.Error("identical addresses share 32 bits")

@@ -17,7 +17,7 @@ func TestSelectMarginalsPicksCorrelated(t *testing.T) {
 		Scores: []float64{1000, 1, 1},
 	}
 	domains := []int{10, 10, 10}
-	res := SelectMarginals(ps, domains, 1.0)
+	res := SelectMarginalsBounded(ps, domains, 1.0, 0, 0)
 	if len(res.Selected) == 0 {
 		t.Fatal("nothing selected")
 	}
@@ -38,16 +38,72 @@ func TestSelectMarginalsBudgetSensitivity(t *testing.T) {
 		Scores: []float64{500, 400, 300},
 	}
 	domains := []int{50, 50, 50}
-	rich := SelectMarginals(ps, domains, 100)
-	poor := SelectMarginalsAtBudget(ps, domains, 1e-6)
+	rich := SelectMarginalsBounded(ps, domains, 100, 0, 0)
+	poor := SelectMarginalsBounded(ps, domains, 1e-6, 0, 0)
 	if len(rich.Selected) < len(poor.Selected) {
 		t.Errorf("rich budget selected %d < poor %d", len(rich.Selected), len(poor.Selected))
 	}
 }
 
-// SelectMarginalsAtBudget is a test helper aliasing SelectMarginals.
-func SelectMarginalsAtBudget(ps *marginal.PairScores, domains []int, rho float64) *SelectionResult {
-	return SelectMarginals(ps, domains, rho)
+// TestSelectMarginalsCaps checks both caps against the uncapped run:
+// no selected pair has more than maxCells cells, at most maxSelected
+// pairs are selected, and each cap leaves out a pair that the
+// uncapped run selects.
+func TestSelectMarginalsCaps(t *testing.T) {
+	domains := []int{4, 6, 8, 30, 50}
+	ps := &marginal.PairScores{}
+	for a := range domains {
+		for b := a + 1; b < len(domains); b++ {
+			ps.Pairs = append(ps.Pairs, [2]int{a, b})
+			ps.Scores = append(ps.Scores, float64(domains[a]*domains[b]))
+		}
+	}
+	cells := func(p []int) float64 { return float64(domains[p[0]] * domains[p[1]]) }
+	key := func(p []int) [2]int { return [2]int{p[0], p[1]} }
+	const rho = 1000
+	full := SelectMarginalsBounded(ps, domains, rho, 0, 0)
+	leftOut := func(sel [][]int) int {
+		in := map[[2]int]bool{}
+		for _, p := range sel {
+			in[key(p)] = true
+		}
+		n := 0
+		for _, p := range full.Selected {
+			if !in[key(p)] {
+				n++
+			}
+		}
+		return n
+	}
+
+	const maxCells = 300
+	big := 0
+	for _, p := range full.Selected {
+		if cells(p) > maxCells {
+			big++
+		}
+	}
+	if big == 0 || len(full.Selected) < 3 {
+		t.Fatalf("uncapped run selects %v: the caps below would test nothing", full.Selected)
+	}
+	capped := SelectMarginalsBounded(ps, domains, rho, maxCells, 0)
+	for _, p := range capped.Selected {
+		if cells(p) > maxCells {
+			t.Errorf("maxCells %d: selected %v with %.0f cells", maxCells, p, cells(p))
+		}
+	}
+	if leftOut(capped.Selected) == 0 {
+		t.Errorf("maxCells %d leaves out nothing the uncapped run selects: %v", maxCells, capped.Selected)
+	}
+
+	maxSelected := len(full.Selected) - 1
+	bounded := SelectMarginalsBounded(ps, domains, rho, 0, maxSelected)
+	if len(bounded.Selected) > maxSelected {
+		t.Errorf("maxSelected %d: selected %d pairs", maxSelected, len(bounded.Selected))
+	}
+	if leftOut(bounded.Selected) == 0 {
+		t.Errorf("maxSelected %d leaves out nothing the uncapped run selects: %v", maxSelected, bounded.Selected)
+	}
 }
 
 func TestCombineMergesOverlapping(t *testing.T) {
@@ -180,7 +236,7 @@ func TestGUMConvergesToTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGUM(published, n, GUMConfig{Iterations: 30, InitAlpha: 1, AlphaDecay: 0.84, DuplicateProb: 0.5, Seed: 5})
-	errs := g.Run(init)
+	errs := g.run(init, newEngine(0))
 	if len(errs) != 30 {
 		t.Fatalf("errors = %d rounds", len(errs))
 	}
@@ -202,7 +258,7 @@ func TestGUMConvergesToTargets(t *testing.T) {
 func TestInitGUMMISeedsKeyCorrelations(t *testing.T) {
 	n := 900
 	published, oneWay, domains := buildTargets(n)
-	init, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, published, 0, n, 0, 7)
+	init, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, published, 0, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +280,7 @@ func TestInitGUMMIFasterThanGUM(t *testing.T) {
 	// is closer to the targets than plain GUM.
 	n := 600
 	published, oneWay, domains := buildTargets(n)
-	gummi, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, published, 0, n, 0, 9)
+	gummi, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, published, 0, n, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +289,8 @@ func TestInitGUMMIFasterThanGUM(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := GUMConfig{Iterations: 1, InitAlpha: 1, AlphaDecay: 0.84, DuplicateProb: 0.5, Seed: 9}
-	e1 := NewGUM(published, n, cfg).Run(gummi)
-	e2 := NewGUM(published, n, cfg).Run(plain)
+	e1 := NewGUM(published, n, cfg).run(gummi, newEngine(0))
+	e2 := NewGUM(published, n, cfg).run(plain, newEngine(0))
 	if e1[0] >= e2[0] {
 		t.Errorf("GUMMI initial error %v should beat GUM %v", e1[0], e2[0])
 	}
@@ -263,7 +319,7 @@ func TestInitIndependentMatchesOneWay(t *testing.T) {
 
 func TestInitGUMMIBadKey(t *testing.T) {
 	_, oneWay, domains := buildTargets(100)
-	if _, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, nil, 99, 100, 0, 1); err == nil {
+	if _, err := InitGUMMI([]string{"a", "b"}, domains, oneWay, nil, 99, 100, 1); err == nil {
 		t.Error("out-of-range key must error")
 	}
 }

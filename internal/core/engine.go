@@ -17,7 +17,7 @@ import (
 //
 //   - select:  per-attribute-pair InDif scores (marginal.NewPairScores + fan-out)
 //   - publish: per-set marginal Compute + Publish
-//   - gum:     per-marginal update planning inside GUM.Run
+//   - gum:     per-marginal update planning inside each GUM round
 //   - windowed: fully concurrent window pipelines (disjoint records,
 //     so parallel composition makes this a privacy-free speedup)
 //

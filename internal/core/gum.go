@@ -28,13 +28,10 @@ type GUMConfig struct {
 	// other attributes) instead of overwriting the marginal's
 	// attributes in place.
 	DuplicateProb float64
-	// Seed drives all sampling.
+	// Seed drives all sampling. Each update pass draws from its own
+	// (Seed, round, marginal)-derived RNG, so the output is identical
+	// for any worker count.
 	Seed uint64
-	// Workers bounds the pool that plans the per-marginal update
-	// passes concurrently (≤ 0 means all cores). Each pass draws from
-	// its own (Seed, round, marginal)-derived RNG, so the output is
-	// identical for any worker count.
-	Workers int
 	// denseMode overrides the per-marginal dense/sparse counting
 	// decision for tests: the two paths are contractually
 	// byte-identical, and the equivalence suite forces each in turn.
@@ -156,16 +153,12 @@ func NewGUM(ms []*marginal.Marginal, n int, cfg GUMConfig) *GUM {
 	return g
 }
 
-// Run applies the update rounds to ds in place and returns the
-// per-round average L1 error (‖S−T‖₁ / n averaged over marginals),
-// which decreases as the synthesis converges. The targets carry state
-// between rounds, so one GUM runs one dataset at a time.
-func (g *GUM) Run(ds *dataset.Encoded) []float64 {
-	return g.run(ds, newEngine(g.cfg.Workers))
-}
-
-// run is Run on a caller-provided worker pool (the pipeline threads
-// its engine through so stage timings capture GUM's busy time).
+// run applies the update rounds to ds in place on the caller's worker
+// pool and returns the per-round average L1 error (‖S−T‖₁ / n averaged
+// over marginals), which decreases as the synthesis converges. The
+// targets carry state between rounds, so one GUM runs one dataset at a
+// time. The pipeline threads its engine through, so stage timings
+// capture GUM's busy time.
 //
 // Each round plans every marginal's update pass concurrently, then
 // applies the plans sequentially in marginal order. Every plan of a
@@ -774,9 +767,8 @@ func InitIndependent(names []string, domains []int, oneWay []*marginal.Marginal,
 // marginal, then every published marginal containing the key — taken
 // in decreasing |Pearson correlation| order — assigns its remaining
 // attributes conditionally on the key, and any attribute left
-// unassigned falls back to its independent 1-way marginal. nInit
-// caps how many key marginals are used (≤ 0 means all).
-func InitGUMMI(names []string, domains []int, oneWay, published []*marginal.Marginal, keyAttr, n, nInit int, seed uint64) (*dataset.Encoded, error) {
+// unassigned falls back to its independent 1-way marginal.
+func InitGUMMI(names []string, domains []int, oneWay, published []*marginal.Marginal, keyAttr, n int, seed uint64) (*dataset.Encoded, error) {
 	if keyAttr < 0 || keyAttr >= len(domains) {
 		return nil, fmt.Errorf("core: key attribute %d out of range", keyAttr)
 	}
@@ -813,9 +805,6 @@ func InitGUMMI(names []string, domains []int, oneWay, published []*marginal.Marg
 		key = append(key, keyed{m, corr})
 	}
 	sort.SliceStable(key, func(a, b int) bool { return key[a].corr > key[b].corr })
-	if nInit > 0 && nInit < len(key) {
-		key = key[:nInit]
-	}
 
 	// Sample the key attribute.
 	keySamp := newCatSampler(oneWay[keyAttr].Counts)

@@ -75,13 +75,13 @@ func sameEncoded(t *testing.T, tag string, got, want *dataset.Encoded) {
 func TestGUMDenseSparseEquivalence(t *testing.T) {
 	const rows = 2000
 	ds, ms := gumEquivSetup(rows)
-	cfg := GUMConfig{Iterations: 25, InitAlpha: 1, AlphaDecay: 0.84, DuplicateProb: 0.5, Seed: 42, Workers: 1}
+	cfg := GUMConfig{Iterations: 25, InitAlpha: 1, AlphaDecay: 0.84, DuplicateProb: 0.5, Seed: 42}
 
 	run := func(mode int) (*dataset.Encoded, []float64) {
 		c := cfg
 		c.denseMode = mode
 		d := cloneEncoded(ds)
-		errs := NewGUM(ms, rows, c).Run(d)
+		errs := NewGUM(ms, rows, c).run(d, newEngine(1))
 		return d, errs
 	}
 	dDense, errsDense := run(gumDenseForced)
@@ -136,9 +136,9 @@ func TestGUMDenseSparseEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				gumSweepFactor = rt.factor
 				c := DefaultGUMConfig()
-				c.DuplicateProb, c.Seed, c.Workers, c.denseMode = q.dupProb, 42, workers, rt.mode
+				c.DuplicateProb, c.Seed, c.denseMode = q.dupProb, 42, rt.mode
 				d := cloneEncoded(ds)
-				errs := NewGUM(ms, rows, c).Run(d)
+				errs := NewGUM(ms, rows, c).run(d, newEngine(workers))
 				got := gumFingerprint(d, errs)
 				if first == 0 {
 					first = got
@@ -318,7 +318,7 @@ func TestGUMLiveTallyMatchesRecount(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				gumSweepFactor = rt.factor
 				c := DefaultGUMConfig()
-				c.DuplicateProb, c.Seed, c.Workers, c.denseMode = dup, 5, workers, rt.mode
+				c.DuplicateProb, c.Seed, c.denseMode = dup, 5, rt.mode
 				d := cloneEncoded(ds)
 				g := NewGUM(ms, rows, c)
 				rs := g.newRounds(d, newEngine(workers))

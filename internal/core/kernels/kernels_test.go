@@ -13,46 +13,6 @@ import (
 
 var rowCases = []int{0, 1, 7, 8, 9, 15, 16, 63, 257, 2000}
 
-func randCols(rng *rand.Rand, n int, doms ...int) [][]int32 {
-	cols := make([][]int32, len(doms))
-	for i, d := range doms {
-		cols[i] = make([]int32, n)
-		for r := range cols[i] {
-			cols[i][r] = int32(rng.IntN(d))
-		}
-	}
-	return cols
-}
-
-func TestCellsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, n := range rowCases {
-		cols := randCols(rng, n, 16, 9, 11)
-		got := make([]int, n)
-		want := make([]int, n)
-
-		Cells2(got, cols[0], cols[1], 9)
-		refCells2(want, cols[0], cols[1], 9)
-		if !slices.Equal(got, want) {
-			t.Fatalf("Cells2 n=%d diverges from reference", n)
-		}
-
-		Cells3(got, cols[0], cols[1], cols[2], 99, 11)
-		refCells3(want, cols[0], cols[1], cols[2], 99, 11)
-		if !slices.Equal(got, want) {
-			t.Fatalf("Cells3 n=%d diverges from reference", n)
-		}
-
-		for i, c := range cols {
-			AccumStride(got, c, 3+i, i == 0)
-			refAccumStride(want, c, 3+i, i == 0)
-			if !slices.Equal(got, want) {
-				t.Fatalf("AccumStride n=%d col=%d diverges from reference", n, i)
-			}
-		}
-	}
-}
-
 func TestGapSweepMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, cells := range []int{0, 1, 8, 9, 100, 1584} {

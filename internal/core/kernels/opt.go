@@ -2,106 +2,10 @@ package kernels
 
 import "math"
 
-// 8-lane unrolled loops with re-sliced operands, so the compiler can
-// prove bounds once per lane group, and a windowed all-miss fast path
-// in GapSweep; GapMerge and PoolRepScan run the reference loops. Every
-// function here must stay byte-identical to its ref.go twin; the
-// in-package tests and FuzzKernelSweepScan compare them element for
-// element.
-
-// Cells2 computes out[r] = a[r]*s0 + b[r] for every row.
-func Cells2(out []int, a, b []int32, s0 int) {
-	n := len(out)
-	if len(a) < n || len(b) < n {
-		panic("kernels: column shorter than out")
-	}
-	r := 0
-	for ; r+8 <= n; r += 8 {
-		o := out[r : r+8 : r+8]
-		av := a[r : r+8 : r+8]
-		bv := b[r : r+8 : r+8]
-		o[0] = int(av[0])*s0 + int(bv[0])
-		o[1] = int(av[1])*s0 + int(bv[1])
-		o[2] = int(av[2])*s0 + int(bv[2])
-		o[3] = int(av[3])*s0 + int(bv[3])
-		o[4] = int(av[4])*s0 + int(bv[4])
-		o[5] = int(av[5])*s0 + int(bv[5])
-		o[6] = int(av[6])*s0 + int(bv[6])
-		o[7] = int(av[7])*s0 + int(bv[7])
-	}
-	for ; r < n; r++ {
-		out[r] = int(a[r])*s0 + int(b[r])
-	}
-}
-
-// Cells3 computes out[r] = a[r]*s0 + b[r]*s1 + c[r] for every row.
-func Cells3(out []int, a, b, c []int32, s0, s1 int) {
-	n := len(out)
-	if len(a) < n || len(b) < n || len(c) < n {
-		panic("kernels: column shorter than out")
-	}
-	r := 0
-	for ; r+8 <= n; r += 8 {
-		o := out[r : r+8 : r+8]
-		av := a[r : r+8 : r+8]
-		bv := b[r : r+8 : r+8]
-		cv := c[r : r+8 : r+8]
-		o[0] = int(av[0])*s0 + int(bv[0])*s1 + int(cv[0])
-		o[1] = int(av[1])*s0 + int(bv[1])*s1 + int(cv[1])
-		o[2] = int(av[2])*s0 + int(bv[2])*s1 + int(cv[2])
-		o[3] = int(av[3])*s0 + int(bv[3])*s1 + int(cv[3])
-		o[4] = int(av[4])*s0 + int(bv[4])*s1 + int(cv[4])
-		o[5] = int(av[5])*s0 + int(bv[5])*s1 + int(cv[5])
-		o[6] = int(av[6])*s0 + int(bv[6])*s1 + int(cv[6])
-		o[7] = int(av[7])*s0 + int(bv[7])*s1 + int(cv[7])
-	}
-	for ; r < n; r++ {
-		out[r] = int(a[r])*s0 + int(b[r])*s1 + int(c[r])
-	}
-}
-
-// AccumStride adds col[r]*s into out[r] (or initializes out when
-// init is set) — one column of a generic marginal cell computation.
-func AccumStride(out []int, col []int32, s int, init bool) {
-	n := len(out)
-	if len(col) < n {
-		panic("kernels: column shorter than out")
-	}
-	r := 0
-	if init {
-		for ; r+8 <= n; r += 8 {
-			o := out[r : r+8 : r+8]
-			cv := col[r : r+8 : r+8]
-			o[0] = int(cv[0]) * s
-			o[1] = int(cv[1]) * s
-			o[2] = int(cv[2]) * s
-			o[3] = int(cv[3]) * s
-			o[4] = int(cv[4]) * s
-			o[5] = int(cv[5]) * s
-			o[6] = int(cv[6]) * s
-			o[7] = int(cv[7]) * s
-		}
-		for ; r < n; r++ {
-			out[r] = int(col[r]) * s
-		}
-		return
-	}
-	for ; r+8 <= n; r += 8 {
-		o := out[r : r+8 : r+8]
-		cv := col[r : r+8 : r+8]
-		o[0] += int(cv[0]) * s
-		o[1] += int(cv[1]) * s
-		o[2] += int(cv[2]) * s
-		o[3] += int(cv[3]) * s
-		o[4] += int(cv[4]) * s
-		o[5] += int(cv[5]) * s
-		o[6] += int(cv[6]) * s
-		o[7] += int(cv[7]) * s
-	}
-	for ; r < n; r++ {
-		out[r] += int(col[r]) * s
-	}
-}
+// GapSweep carries a windowed all-miss fast path; GapMerge and
+// PoolRepScan run the reference loops. Every function here must stay
+// byte-identical to its ref.go twin; the in-package tests and
+// FuzzKernelSweepScan compare them element for element.
 
 // GapSweep classifies every cell against its target in ascending-cell
 // order (see refGapSweep for the full semantics). The optimized body

@@ -3,38 +3,10 @@ package kernels
 import "math"
 
 // This file holds the straight-line reference implementation of every
-// kernel: the oracle the unrolled bodies in opt.go are held to. The
+// kernel: the oracle the bodies in opt.go are held to. The
 // equivalence tests and FuzzKernelSweepScan compare against these loops
 // in-process. Any change here changes the contract — keep the loops
 // boring.
-
-// refCells2 computes out[r] = a[r]*s0 + b[r] for every row.
-func refCells2(out []int, a, b []int32, s0 int) {
-	for r := range out {
-		out[r] = int(a[r])*s0 + int(b[r])
-	}
-}
-
-// refCells3 computes out[r] = a[r]*s0 + b[r]*s1 + c[r].
-func refCells3(out []int, a, b, c []int32, s0, s1 int) {
-	for r := range out {
-		out[r] = int(a[r])*s0 + int(b[r])*s1 + int(c[r])
-	}
-}
-
-// refAccumStride adds col[r]*s into out[r]; with init it overwrites
-// instead (the first column of a generic stride accumulation).
-func refAccumStride(out []int, col []int32, s int, init bool) {
-	if init {
-		for r := range out {
-			out[r] = int(col[r]) * s
-		}
-		return
-	}
-	for r := range out {
-		out[r] += int(col[r]) * s
-	}
-}
 
 // refGapSweep walks every cell in ascending order, classifying each
 // against its target count: a live cell (live[c] > 0 rows) contributes

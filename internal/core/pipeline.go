@@ -30,9 +30,6 @@ type Config struct {
 	// KeyAttr names the attribute GUMMI initializes around (the
 	// classification label). Empty selects the schema's label field.
 	KeyAttr string
-	// NInitMarginals caps the number of key marginals GUMMI uses
-	// (≤ 0 means all).
-	NInitMarginals int
 	// UseGUMMI selects marginal initialization (true, the NetDPSyn
 	// default) or plain-GUM independent initialization (false; the
 	// Figure 8 ablation).
@@ -507,7 +504,7 @@ func (p *Pipeline) stageRecordSynthesis(eng *engine, st *synthState) error {
 	var err error
 	if cfg.UseGUMMI {
 		keyIdx := p.keyAttrIndex(st.work.Schema(), st.encoded)
-		init, err = InitGUMMI(st.encoded.Names, st.encoded.Domains, st.oneWay, st.published, keyIdx, nSynth, cfg.NInitMarginals, cfg.Seed^0xb4)
+		init, err = InitGUMMI(st.encoded.Names, st.encoded.Domains, st.oneWay, st.published, keyIdx, nSynth, cfg.Seed^0xb4)
 	} else {
 		init, err = InitIndependent(st.encoded.Names, st.encoded.Domains, st.oneWay, nSynth, cfg.Seed^0xb4)
 	}
@@ -516,7 +513,6 @@ func (p *Pipeline) stageRecordSynthesis(eng *engine, st *synthState) error {
 	}
 	gcfg := cfg.GUM
 	gcfg.Seed = cfg.Seed ^ 0xb5
-	gcfg.Workers = cfg.Workers
 	gum := NewGUM(st.published, nSynth, gcfg)
 	st.report.GUMErrors = gum.run(init, eng)
 	st.synth = init

@@ -90,7 +90,7 @@ func TestPipelineSingleClass(t *testing.T) {
 func TestGUMNoMarginals(t *testing.T) {
 	g := NewGUM(nil, 10, DefaultGUMConfig())
 	ds := dataset.NewEncoded([]string{"a"}, []int{2}, 10)
-	if errs := g.Run(ds); errs != nil {
+	if errs := g.run(ds, newEngine(0)); errs != nil {
 		t.Errorf("no-marginal GUM should be a no-op, got %v", errs)
 	}
 }
@@ -98,7 +98,7 @@ func TestGUMNoMarginals(t *testing.T) {
 func TestGUMEmptyDataset(t *testing.T) {
 	g := NewGUM(nil, 0, DefaultGUMConfig())
 	ds := dataset.NewEncoded([]string{"a"}, []int{2}, 0)
-	if errs := g.Run(ds); errs != nil {
+	if errs := g.run(ds, newEngine(0)); errs != nil {
 		t.Errorf("empty-dataset GUM should be a no-op, got %v", errs)
 	}
 }

@@ -39,7 +39,7 @@ func cellsOf(domains []int, attrs []int) float64 {
 // noise error of each selected marginal under PrivSyn's optimal
 // unequal budget allocation ρ_i ∝ c_i^{2/3} over the publication
 // budget rhoPublish. pow23 carries each marginal's precomputed
-// c^{2/3}: the greedy loop in selectMarginals evaluates O(n·k)
+// c^{2/3}: the greedy loop in SelectMarginalsBounded evaluates O(n·k)
 // candidate sets of up to k marginals each, and recomputing the
 // fractional powers inside made math.Pow the single hottest call of a
 // follow-mode synthesis step.
@@ -63,39 +63,26 @@ func noiseErrors(cells, pow23 []float64, rhoPublish float64) []float64 {
 	return out
 }
 
-// SelectMarginals runs DenseMarg's greedy optimization (Eq. 2 of the
-// paper): minimize Σ_i [ψ_i·x_i + φ_i·(1−x_i)] where φ is the (noisy)
-// InDif dependency error of omitting pair i and ψ the noise error of
-// publishing it under the shared publication budget. Each step adds
-// the pair whose inclusion most reduces the total error (the highest
-// net benefit φ − Δψ, which is not the highest φ: a strongly
+// SelectMarginalsBounded runs DenseMarg's greedy optimization (Eq. 2
+// of the paper): minimize Σ_i [ψ_i·x_i + φ_i·(1−x_i)] where φ is the
+// (noisy) InDif dependency error of omitting pair i and ψ the noise
+// error of publishing it under the shared publication budget. Each
+// step adds the pair whose inclusion most reduces the total error (the
+// highest net benefit φ − Δψ, which is not the highest φ: a strongly
 // dependent pair over huge domains can cost more noise than its
 // dependency is worth); selection stops when no remaining pair
 // improves the objective.
-func SelectMarginals(ps *marginal.PairScores, domains []int, rhoPublish float64) *SelectionResult {
-	return SelectMarginalsCapped(ps, domains, rhoPublish, 0)
-}
-
-// SelectMarginalsCapped is SelectMarginals with capacity caps:
-// candidate pairs whose 2-way marginal exceeds maxCells cells
-// (0 = unlimited) are never selected, and at most maxSelected pairs
-// are chosen (0 = unlimited). A marginal with far more cells than
-// records is nearly uninformative for record synthesis yet scores a
-// large, granularity-inflated InDif, and GUM cannot reconcile an
-// unbounded number of overlapping constraints at a fixed record
-// count; both caps keep selection within what synthesis can use. The
-// pipeline passes a small multiple of the record count and of the
-// attribute count respectively.
-func SelectMarginalsCapped(ps *marginal.PairScores, domains []int, rhoPublish, maxCells float64) *SelectionResult {
-	return selectMarginals(ps, domains, rhoPublish, maxCells, 0)
-}
-
-// SelectMarginalsBounded adds the selection-count cap.
+//
+// Two caps bound the selection: candidate pairs whose 2-way marginal
+// exceeds maxCells cells (0 = unlimited) are never selected, and at
+// most maxSelected pairs are chosen (0 = unlimited). A marginal with
+// far more cells than records is nearly uninformative for record
+// synthesis yet scores a large, granularity-inflated InDif, and GUM
+// cannot reconcile an unbounded number of overlapping constraints at a
+// fixed record count; both caps keep selection within what synthesis
+// can use. The pipeline passes a small multiple of the record count
+// and of the attribute count respectively.
 func SelectMarginalsBounded(ps *marginal.PairScores, domains []int, rhoPublish, maxCells float64, maxSelected int) *SelectionResult {
-	return selectMarginals(ps, domains, rhoPublish, maxCells, maxSelected)
-}
-
-func selectMarginals(ps *marginal.PairScores, domains []int, rhoPublish, maxCells float64, maxSelected int) *SelectionResult {
 	n := len(ps.Pairs)
 	var totalDep float64
 	for _, s := range ps.Scores {

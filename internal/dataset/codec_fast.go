@@ -483,7 +483,6 @@ const (
 	swarHi    = 0x8080808080808080
 	swarComma = swarLo * ','
 	swarQuote = swarLo * '"'
-	swarNL    = swarLo * '\n'
 	swarZeros = swarLo * '0'
 )
 

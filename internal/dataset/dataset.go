@@ -573,16 +573,6 @@ func (e *Encoded) Index(name string) int {
 	return -1
 }
 
-// TotalDomain returns the sum of attribute domain sizes (the paper's
-// Table 5 "Domain" statistic).
-func (e *Encoded) TotalDomain() int {
-	var s int
-	for _, d := range e.Domains {
-		s += d
-	}
-	return s
-}
-
 // Clone deep-copies the encoded table.
 func (e *Encoded) Clone() *Encoded {
 	c := &Encoded{

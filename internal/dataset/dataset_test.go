@@ -382,9 +382,6 @@ func TestEncodedCloneAndSelect(t *testing.T) {
 	if sel.Cols[0][0] != 3 || sel.Cols[0][1] != 1 {
 		t.Errorf("SelectRows = %v", sel.Cols[0])
 	}
-	if e.TotalDomain() != 8 {
-		t.Errorf("TotalDomain = %d", e.TotalDomain())
-	}
 	if e.Index("b") != 1 || e.Index("zz") != -1 {
 		t.Error("Index wrong")
 	}

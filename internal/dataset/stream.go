@@ -143,27 +143,6 @@ func (s *CSVStream) NextInto(t *Table) error {
 	return fmt.Errorf("dataset: read line %d: %w", s.line, err)
 }
 
-// StreamCSV runs fn over every batch of the stream; a batch or fn
-// error stops the walk and is returned.
-func StreamCSV(r io.Reader, schema *Schema, batchRows int, fn func(batch *Table) error) error {
-	s, err := NewCSVStream(r, schema, batchRows)
-	if err != nil {
-		return err
-	}
-	for {
-		b, err := s.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-}
-
 // Window is one emitted partition of a trace. ID is the window's seed
 // identity: consumers derive the per-window pipeline seed from it, so
 // it must be a data-independent function of the partition. Span

@@ -68,12 +68,22 @@ func TestCSVStreamMatchesReadCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := NewTable(streamSchema(), 0)
-	err = StreamCSV(strings.NewReader(body), streamSchema(), 5, func(b *Table) error {
-		return acc.AppendRowRange(b, 0, b.NumRows())
-	})
+	s, err := NewCSVStream(strings.NewReader(body), streamSchema(), 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	acc := NewTable(streamSchema(), 0)
+	for {
+		b, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.AppendRowRange(b, 0, b.NumRows()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if acc.NumRows() != whole.NumRows() {
 		t.Fatalf("rows %d vs %d", acc.NumRows(), whole.NumRows())

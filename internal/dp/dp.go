@@ -1,9 +1,9 @@
 // Package dp implements the differential-privacy substrate used by
 // NetDPSyn and its baselines: zero-Concentrated Differential Privacy
 // (zCDP) accounting, the (ε, δ) → ρ conversion from Bun & Steinke,
-// the Gaussian and Laplace mechanisms, the exponential mechanism
-// (used by the PGM baseline), and DP-SGD accounting helpers (used by
-// the NetShare baseline).
+// the Gaussian mechanism, the exponential mechanism (used by the PGM
+// baseline), and the DP-SGD noise multiplier under subsampling (used
+// by the NetShare baseline).
 //
 // NetDPSyn publishes marginal tables with the Gaussian mechanism: a
 // marginal has L2 sensitivity 1 under record-level neighbouring, so
@@ -55,15 +55,6 @@ func GaussianSigma(delta2, rho float64) (float64, error) {
 		return 0, fmt.Errorf("%w: sensitivity=%v rho=%v", ErrInvalidBudget, delta2, rho)
 	}
 	return delta2 / math.Sqrt(2*rho), nil
-}
-
-// RhoOfGaussian returns the zCDP cost of a single Gaussian mechanism
-// invocation with sensitivity delta2 and noise σ: ρ = Δ₂² / (2σ²).
-func RhoOfGaussian(delta2, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.Inf(1)
-	}
-	return delta2 * delta2 / (2 * sigma * sigma)
 }
 
 // Accountant tracks zCDP budget consumption. zCDP composes additively,
@@ -180,46 +171,6 @@ func (g *Gaussian) PerturbScalar(x float64) float64 {
 	return x + g.rng.NormFloat64()*g.Sigma
 }
 
-// Laplace is the Laplace mechanism for queries with L1 sensitivity Δ₁,
-// satisfying ε-DP with scale b = Δ₁/ε.
-type Laplace struct {
-	Scale float64
-	rng   *rand.Rand
-}
-
-// NewLaplace creates a Laplace mechanism for a query with L1
-// sensitivity delta1 under pure ε-DP.
-func NewLaplace(delta1, eps float64, seed uint64) (*Laplace, error) {
-	if delta1 <= 0 || eps <= 0 {
-		return nil, fmt.Errorf("%w: sensitivity=%v eps=%v", ErrInvalidBudget, delta1, eps)
-	}
-	return &Laplace{Scale: delta1 / eps, rng: rand.New(rand.NewPCG(seed, seed^0xd1b54a32d192ed03))}, nil
-}
-
-// Perturb adds Laplace(0, b) noise to every element of xs in place.
-func (l *Laplace) Perturb(xs []float64) []float64 {
-	for i := range xs {
-		xs[i] += l.sample()
-	}
-	return xs
-}
-
-// PerturbScalar adds Laplace(0, b) noise to a single value.
-func (l *Laplace) PerturbScalar(x float64) float64 { return x + l.sample() }
-
-func (l *Laplace) sample() float64 {
-	// Inverse CDF sampling: u uniform in (-1/2, 1/2).
-	u := l.rng.Float64() - 0.5
-	return -l.Scale * sign(u) * math.Log(1-2*math.Abs(u))
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
 // Exponential implements the exponential mechanism: it selects index i
 // with probability proportional to exp(ε·score_i / (2·Δ)) where Δ is
 // the score sensitivity. The PGM baseline uses it for structure
@@ -267,38 +218,6 @@ func (e *Exponential) Select(scores []float64) (int, error) {
 		}
 	}
 	return len(scores) - 1, nil
-}
-
-// DPSGDAccountant tracks the zCDP cost of DP-SGD training, as used by
-// the NetShare baseline. Each step perturbs a clipped gradient (L2
-// sensitivity C per example, batch sampling ignored for a conservative
-// bound) with noise σ·C, costing ρ_step = 1/(2σ²); steps compose
-// additively under zCDP.
-type DPSGDAccountant struct {
-	NoiseMultiplier float64 // σ, the ratio of noise stddev to clip norm
-	Steps           int
-}
-
-// Rho returns the total zCDP cost of the configured run.
-func (d DPSGDAccountant) Rho() float64 {
-	if d.NoiseMultiplier <= 0 {
-		return math.Inf(1)
-	}
-	return float64(d.Steps) / (2 * d.NoiseMultiplier * d.NoiseMultiplier)
-}
-
-// Eps returns the (ε, δ) guarantee of the configured run.
-func (d DPSGDAccountant) Eps(delta float64) (float64, error) {
-	return EpsFromRhoDelta(d.Rho(), delta)
-}
-
-// NoiseMultiplierFor returns the σ needed so that `steps` DP-SGD steps
-// fit within ρ total budget.
-func NoiseMultiplierFor(rho float64, steps int) (float64, error) {
-	if rho <= 0 || steps <= 0 {
-		return 0, fmt.Errorf("%w: rho=%v steps=%d", ErrInvalidBudget, rho, steps)
-	}
-	return math.Sqrt(float64(steps) / (2 * rho)), nil
 }
 
 // SubsampledNoiseMultiplier returns the σ needed so that `steps`

@@ -107,8 +107,8 @@ func TestGaussianSigma(t *testing.T) {
 	if math.Abs(s-1) > 1e-12 {
 		t.Errorf("sigma = %v, want 1", s)
 	}
-	// Round trip with RhoOfGaussian.
-	if rho := RhoOfGaussian(1, s); math.Abs(rho-0.5) > 1e-12 {
+	// Round trip through the zCDP cost ρ = Δ²/(2σ²).
+	if rho := 1 / (2 * s * s); math.Abs(rho-0.5) > 1e-12 {
 		t.Errorf("rho = %v, want 0.5", rho)
 	}
 }
@@ -234,33 +234,6 @@ func TestGaussianDeterministicSeed(t *testing.T) {
 	}
 }
 
-func TestLaplaceStatistics(t *testing.T) {
-	l, err := NewLaplace(1, 0.5, 9) // scale 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 20000
-	xs := make([]float64, n)
-	l.Perturb(xs)
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	if math.Abs(mean) > 0.15 {
-		t.Errorf("laplace mean = %v, want ≈0", mean)
-	}
-	// Variance of Laplace(b) is 2b² = 8.
-	var varsum float64
-	for _, x := range xs {
-		varsum += (x - mean) * (x - mean)
-	}
-	v := varsum / float64(n)
-	if math.Abs(v-8) > 1.0 {
-		t.Errorf("laplace variance = %v, want ≈8", v)
-	}
-}
-
 func TestExponentialPrefersHighScores(t *testing.T) {
 	em, err := NewExponential(8, 1, 11)
 	if err != nil {
@@ -289,30 +262,24 @@ func TestExponentialEmpty(t *testing.T) {
 	}
 }
 
-func TestDPSGDAccounting(t *testing.T) {
-	acct := DPSGDAccountant{NoiseMultiplier: 2, Steps: 100}
-	// ρ = T/(2σ²) = 100/8 = 12.5.
-	if rho := acct.Rho(); math.Abs(rho-12.5) > 1e-12 {
-		t.Errorf("rho = %v, want 12.5", rho)
-	}
-	sigma, err := NoiseMultiplierFor(12.5, 100)
+func TestSubsampledNoiseMultiplier(t *testing.T) {
+	// Without sampling, T steps at noise multiplier σ cost ρ = T/(2σ²),
+	// so ρ = 1 over 100 steps needs σ = √(100/2).
+	want := math.Sqrt(100 / (2 * 1.0))
+	full, err := SubsampledNoiseMultiplier(1, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sigma-2) > 1e-12 {
-		t.Errorf("sigma = %v, want 2", sigma)
+	if math.Abs(full-want) > 1e-12 {
+		t.Errorf("full-batch sigma = %v, want %v", full, want)
 	}
-}
-
-func TestSubsampledNoiseMultiplier(t *testing.T) {
 	// q scales σ linearly: amplification by sampling.
-	full, _ := NoiseMultiplierFor(1, 100)
 	sub, err := SubsampledNoiseMultiplier(1, 100, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sub-full*0.01) > 1e-12 {
-		t.Errorf("subsampled sigma = %v, want %v", sub, full*0.01)
+	if math.Abs(sub-want*0.01) > 1e-12 {
+		t.Errorf("subsampled sigma = %v, want %v", sub, want*0.01)
 	}
 	if _, err := SubsampledNoiseMultiplier(1, 100, 1.5); !errors.Is(err, ErrInvalidBudget) {
 		t.Errorf("q>1 should be invalid, got %v", err)

@@ -104,20 +104,3 @@ func flowGapSamples(t *dataset.Table) []float64 {
 	}
 	return out
 }
-
-// interArrivalSamples computes the global record inter-arrival
-// distribution of a trace (records sorted by timestamp, successive
-// gaps), used by tests and diagnostics.
-func interArrivalSamples(t *dataset.Table) []float64 {
-	tsCol := t.Schema().Index(trace.FieldTS)
-	if tsCol < 0 {
-		return nil
-	}
-	sorted := t.SortBy(tsCol)
-	ts := sorted.Column(tsCol)
-	out := make([]float64, 0, len(ts))
-	for i := 1; i < len(ts); i++ {
-		out = append(out, float64(ts[i]-ts[i-1]))
-	}
-	return out
-}

@@ -195,12 +195,3 @@ func TestFigure2Shapes(t *testing.T) {
 		t.Errorf("DC CMS NetDPSyn = %v", v)
 	}
 }
-
-func TestGridBars(t *testing.T) {
-	g := NewGrid("T", []string{"r"}, []string{"a", "b"})
-	g.Set("r", "a", 1.0)
-	s := g.Bars()
-	if !strings.Contains(s, "█") || !strings.Contains(s, "N/A") {
-		t.Errorf("bars rendering:\n%s", s)
-	}
-}

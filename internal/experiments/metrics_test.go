@@ -77,24 +77,6 @@ func TestContinuousValues(t *testing.T) {
 	}
 }
 
-func TestInterArrivalSamples(t *testing.T) {
-	s := dataset.MustSchema(dataset.Field{Name: trace.FieldTS, Kind: dataset.KindTimestamp})
-	tab := dataset.NewTable(s, 4)
-	for _, ts := range []int64{30, 10, 20, 60} {
-		tab.AppendRow([]int64{ts})
-	}
-	got := interArrivalSamples(tab)
-	want := []float64{10, 10, 30}
-	if len(got) != len(want) {
-		t.Fatalf("IATs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IATs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestClassifyAccuracyAligned(t *testing.T) {
 	raw, err := datagen.Generate(datagen.UGR16, datagen.Config{Rows: 1500, Seed: 57})
 	if err != nil {

@@ -90,53 +90,6 @@ func (g *Grid) index(row, col string) (int, int) {
 	return ri, ci
 }
 
-// Bars renders the grid as ASCII horizontal bars, one block per row
-// label — closer to how the paper presents its figures. Values are
-// scaled to the grid's maximum; NaN renders as "N/A".
-func (g *Grid) Bars() string {
-	var sb strings.Builder
-	if g.Title != "" {
-		fmt.Fprintf(&sb, "%s\n", g.Title)
-	}
-	var maxV float64
-	for i := range g.Rows {
-		for j := range g.Cols {
-			if v := g.Cells[i][j]; !math.IsNaN(v) && v > maxV {
-				maxV = v
-			}
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	const width = 40
-	colW := 0
-	for _, c := range g.Cols {
-		if len(c) > colW {
-			colW = len(c)
-		}
-	}
-	for i, r := range g.Rows {
-		fmt.Fprintf(&sb, "%s\n", r)
-		for j, c := range g.Cols {
-			v := g.Cells[i][j]
-			if math.IsNaN(v) {
-				fmt.Fprintf(&sb, "  %-*s | N/A\n", colW, c)
-				continue
-			}
-			n := int(v / maxV * width)
-			if n < 0 {
-				n = 0
-			}
-			fmt.Fprintf(&sb, "  %-*s | %s %.3f\n", colW, c, strings.Repeat("█", n), v)
-		}
-	}
-	if g.Note != "" {
-		fmt.Fprintf(&sb, "%s\n", g.Note)
-	}
-	return sb.String()
-}
-
 // String renders the grid as an aligned text table.
 func (g *Grid) String() string {
 	var sb strings.Builder

@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"github.com/netdpsyn/netdpsyn/internal/core/kernels"
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 	"github.com/netdpsyn/netdpsyn/internal/dp"
 )
@@ -101,30 +100,16 @@ func (m *Marginal) CellInto(idx int, codes []int32) {
 }
 
 // CellsInto writes the flattened cell index of every row of e into
-// out (len ≥ e.NumRows()) in a single row sweep: for each row the
-// stride products of all the marginal's attributes are accumulated
-// at once, instead of one pass per attribute. The 2- and 3-way
-// shapes — the common cases under the pipeline's arity cap — go
-// through the kernels package's 8-lane unrolled loops; anything wider
-// takes the generic stride accumulation. Compute and GUM's sparse
-// tally build sit on top of this.
+// out (len ≥ e.NumRows()), adding one attribute column's stride
+// products per pass. Compute and GUM's sparse tally build sit on top
+// of this.
 func (m *Marginal) CellsInto(e *dataset.Encoded, out []int) {
-	n := e.NumRows()
-	out = out[:n]
-	switch len(m.Attrs) {
-	case 1:
-		col := e.Cols[m.Attrs[0]][:n]
-		for r, c := range col {
-			out[r] = int(c)
-		}
-	case 2:
-		kernels.Cells2(out, e.Cols[m.Attrs[0]], e.Cols[m.Attrs[1]], m.strides[0])
-	case 3:
-		kernels.Cells3(out, e.Cols[m.Attrs[0]], e.Cols[m.Attrs[1]], e.Cols[m.Attrs[2]],
-			m.strides[0], m.strides[1])
-	default:
-		for i, at := range m.Attrs {
-			kernels.AccumStride(out, e.Cols[at], m.strides[i], i == 0)
+	out = out[:e.NumRows()]
+	clear(out)
+	for i, at := range m.Attrs {
+		s := m.strides[i]
+		for r, c := range e.Cols[at][:len(out)] {
+			out[r] += int(c) * s
 		}
 	}
 }
@@ -148,16 +133,6 @@ func (m *Marginal) Clone() *Marginal {
 	}
 	c.initStrides()
 	return c
-}
-
-// Key returns a canonical string identity for the attribute set.
-func (m *Marginal) Key() string { return AttrKey(m.Attrs) }
-
-// AttrKey renders a canonical identity for an attribute set.
-func AttrKey(attrs []int) string {
-	s := append([]int(nil), attrs...)
-	sort.Ints(s)
-	return fmt.Sprint(s)
 }
 
 // Compute tallies the exact marginal of the encoded table over the
@@ -184,10 +159,7 @@ func Compute(e *dataset.Encoded, attrs []int) *Marginal {
 			m.Counts[int(a[r])*s0+int(b[r])]++
 		}
 	default:
-		// One fused row sweep computes every row's flattened cell
-		// (CellsInto's unrolled stride accumulation), then a single
-		// pass tallies — instead of one pass per attribute plus the
-		// tally.
+		// Index every row's cell (CellsInto), then tally.
 		idx := make([]int, n)
 		m.CellsInto(e, idx)
 		for _, ix := range idx {
@@ -323,45 +295,6 @@ func (m *Marginal) NormSub(total float64) {
 			m.Counts[i] = 0
 		}
 	}
-}
-
-// Distribution returns the normalized copy of the counts.
-func (m *Marginal) Distribution() []float64 {
-	out := append([]float64(nil), m.Counts...)
-	var sum float64
-	for _, c := range out {
-		if c > 0 {
-			sum += c
-		}
-	}
-	if sum <= 0 {
-		u := 1.0 / float64(len(out))
-		for i := range out {
-			out[i] = u
-		}
-		return out
-	}
-	for i, c := range out {
-		if c < 0 {
-			out[i] = 0
-		} else {
-			out[i] = c / sum
-		}
-	}
-	return out
-}
-
-// L1 returns the L1 distance between this marginal and another with
-// the same shape.
-func (m *Marginal) L1(o *Marginal) (float64, error) {
-	if len(m.Counts) != len(o.Counts) {
-		return 0, fmt.Errorf("marginal: shape mismatch %v vs %v", m.Domains, o.Domains)
-	}
-	var s float64
-	for i := range m.Counts {
-		s += math.Abs(m.Counts[i] - o.Counts[i])
-	}
-	return s, nil
 }
 
 // PearsonCorr computes the Pearson correlation coefficient between

@@ -56,6 +56,55 @@ func TestComputeTwoWay(t *testing.T) {
 	}
 }
 
+// TestComputeWide checks 3- and 4-way marginals, whose rows Compute
+// indexes through CellsInto, against a per-row tally that flattens
+// each row's codes in row-major order by hand. CellsInto itself must
+// overwrite a reused buffer, as GUM's sparse tally build passes one.
+func TestComputeWide(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	domains := []int{5, 3, 7, 2}
+	for _, n := range []int{0, 1, 9, 1000} {
+		e := dataset.NewEncoded([]string{"a", "b", "c", "d"}, domains, n)
+		for a, d := range domains {
+			for r := range e.Cols[a] {
+				e.Cols[a][r] = int32(rng.IntN(d))
+			}
+		}
+		for _, attrs := range [][]int{{0, 1, 2}, {3, 1, 0}, {1, 2, 3}, {2, 0, 3, 1}} {
+			m := Compute(e, attrs)
+			cells := make([]int, n)
+			for r := range cells {
+				cells[r] = -7 // stale contents CellsInto must overwrite
+			}
+			m.CellsInto(e, cells)
+			want := map[int]float64{}
+			for r := 0; r < n; r++ {
+				cell := 0
+				for _, a := range m.Attrs {
+					cell = cell*domains[a] + int(e.Cols[a][r])
+				}
+				if cells[r] != cell {
+					t.Fatalf("n=%d attrs=%v: CellsInto row %d = %d, want %d", n, m.Attrs, r, cells[r], cell)
+				}
+				want[cell]++
+			}
+			if m.Cells() != len(m.Counts) {
+				t.Fatalf("n=%d attrs=%v: %d counts for %d cells", n, attrs, len(m.Counts), m.Cells())
+			}
+			for cell, got := range m.Counts {
+				if got != want[cell] {
+					t.Fatalf("n=%d attrs=%v: cell %d = %v, want %v", n, m.Attrs, cell, got, want[cell])
+				}
+			}
+			for i := 1; i < len(m.Attrs); i++ {
+				if m.Attrs[i-1] >= m.Attrs[i] {
+					t.Fatalf("attrs not sorted: %v", m.Attrs)
+				}
+			}
+		}
+	}
+}
+
 func TestCellIndexRoundTripProperty(t *testing.T) {
 	m := New([]int{0, 1, 2}, []int{4, 3, 5})
 	f := func(a, b, c uint8) bool {
@@ -175,18 +224,6 @@ func TestNormSubProperty(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	m := New([]int{0}, []int{3})
-	copy(m.Counts, []float64{1, -5, 3})
-	d := m.Distribution()
-	if math.Abs(d[0]+d[1]+d[2]-1) > 1e-12 {
-		t.Errorf("distribution sum = %v", d)
-	}
-	if d[1] != 0 {
-		t.Errorf("negative cell should clamp: %v", d)
-	}
-}
-
 func TestPearsonCorrPerfect(t *testing.T) {
 	// Diagonal joint: perfect correlation.
 	m := New([]int{0, 1}, []int{3, 3})
@@ -211,20 +248,6 @@ func TestPearsonCorrPerfect(t *testing.T) {
 	one := New([]int{0}, []int{3})
 	if _, err := one.PearsonCorr(); err == nil {
 		t.Error("1-way PearsonCorr must error")
-	}
-}
-
-func TestL1(t *testing.T) {
-	a := New([]int{0}, []int{3})
-	b := New([]int{0}, []int{3})
-	copy(a.Counts, []float64{1, 2, 3})
-	copy(b.Counts, []float64{2, 2, 1})
-	d, err := a.L1(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 3 {
-		t.Errorf("L1 = %v, want 3", d)
 	}
 }
 
@@ -326,11 +349,5 @@ func TestExpectedL1NoiseError(t *testing.T) {
 	want := 100 * 2 * math.Sqrt(2/math.Pi)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("noise error = %v, want %v", got, want)
-	}
-}
-
-func TestAttrKey(t *testing.T) {
-	if AttrKey([]int{2, 0, 1}) != AttrKey([]int{0, 1, 2}) {
-		t.Error("AttrKey must be order-invariant")
 	}
 }

@@ -8,7 +8,6 @@ package netml
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/netdpsyn/netdpsyn/internal/ml"
 	"github.com/netdpsyn/netdpsyn/internal/stats"
@@ -176,25 +175,4 @@ func AnomalyRatios(rawX, synX [][]float64, seed uint64) (anoRaw, anoSyn float64,
 		return 0, 0, fmt.Errorf("netml: synthetic trace has no representable flows")
 	}
 	return oc.AnomalyRatio(rawX), oc.AnomalyRatio(synX), nil
-}
-
-// CompareError computes the Figure 4 metric for one mode:
-// |ano_syn − ano_raw| / ano_raw.
-func CompareError(rawPkts, synPkts []trace.Packet, mode Mode, seed uint64) (float64, error) {
-	rawX, err := Represent(trace.GroupByTuple(rawPkts), mode)
-	if err != nil {
-		return 0, err
-	}
-	synX, err := Represent(trace.GroupByTuple(synPkts), mode)
-	if err != nil {
-		return 0, err
-	}
-	anoRaw, anoSyn, err := AnomalyRatios(rawX, synX, seed)
-	if err != nil {
-		return math.NaN(), err
-	}
-	if anoRaw == 0 {
-		return anoSyn, nil
-	}
-	return math.Abs(anoSyn-anoRaw) / anoRaw, nil
 }

@@ -134,8 +134,10 @@ func TestAnomalyRatios(t *testing.T) {
 	}
 }
 
-func TestCompareErrorSelfIsZero(t *testing.T) {
-	tab, err := datagen.Generate(datagen.DC, datagen.Config{Rows: 3000, Seed: 37})
+// dcPackets returns a generated DC packet trace.
+func dcPackets(t *testing.T, seed uint64) []trace.Packet {
+	t.Helper()
+	tab, err := datagen.Generate(datagen.DC, datagen.Config{Rows: 3000, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,35 +145,49 @@ func TestCompareErrorSelfIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := CompareError(pkts, pkts, Stats, 11)
+	return pkts
+}
+
+// compareError is Figure 4's metric for one mode, computed the way
+// the experiment does: each trace grouped and represented on its own,
+// one detector fit on the raw representation scoring both, and
+// |ano_syn − ano_raw| / ano_raw.
+func compareError(t *testing.T, rawPkts, synPkts []trace.Packet, mode Mode, seed uint64) float64 {
+	t.Helper()
+	rawX, err := Represent(trace.GroupByTuple(rawPkts), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel != 0 {
+	synX, err := Represent(trace.GroupByTuple(synPkts), mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anoRaw, anoSyn, err := AnomalyRatios(rawX, synX, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anoRaw == 0 {
+		t.Fatalf("raw anomaly ratio is 0 in mode %v: the relative error is undefined", mode)
+	}
+	return math.Abs(anoSyn-anoRaw) / anoRaw
+}
+
+func TestCompareErrorSelfIsZero(t *testing.T) {
+	pkts := dcPackets(t, 37)
+	syn := append([]trace.Packet(nil), pkts...)
+	if rel := compareError(t, pkts, syn, Stats, 11); rel != 0 {
 		t.Errorf("self comparison error = %v, want 0 (same detector, same data)", rel)
 	}
 }
 
 func TestCompareErrorDetectsDistortion(t *testing.T) {
-	tab, err := datagen.Generate(datagen.DC, datagen.Config{Rows: 3000, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := trace.TableToPackets(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkts := dcPackets(t, 41)
 	// Distort: inflate every packet size tenfold.
-	distorted := make([]trace.Packet, len(pkts))
-	copy(distorted, pkts)
+	distorted := append([]trace.Packet(nil), pkts...)
 	for i := range distorted {
 		distorted[i].Len *= 10
 	}
-	rel, err := CompareError(pkts, distorted, Size, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel <= 0 {
+	if rel := compareError(t, pkts, distorted, Size, 11); rel <= 0 {
 		t.Errorf("distorted trace should have positive error, got %v", rel)
 	}
 }

@@ -62,9 +62,6 @@ func NewNet(sizes []int, seed uint64) (*Net, error) {
 // NumLayers returns the number of weight layers.
 func (n *Net) NumLayers() int { return len(n.sizes) - 1 }
 
-// NumParams returns the total parameter count.
-func (n *Net) NumParams() int { return len(n.params) }
-
 // weights returns the weight slice of layer l (out×in, row-major).
 func (n *Net) weights(l int) []float64 {
 	off := n.offsets[l]
@@ -216,16 +213,6 @@ func (n *Net) Step(lr float64) {
 // identical parameters).
 func (n *Net) CloneArch(seed uint64) (*Net, error) {
 	return NewNet(n.sizes, seed)
-}
-
-// CopyParamsFrom copies parameters from another net of identical
-// architecture.
-func (n *Net) CopyParamsFrom(o *Net) error {
-	if len(n.params) != len(o.params) {
-		return fmt.Errorf("nn: parameter size mismatch %d vs %d", len(n.params), len(o.params))
-	}
-	copy(n.params, o.params)
-	return nil
 }
 
 // Softmax converts logits into probabilities (numerically stabilized).

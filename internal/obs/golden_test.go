@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/netdpsyn/netdpsyn/internal/obs/obstest"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exposition.golden from the current renderer")
@@ -32,7 +34,7 @@ func goldenRegistry() *Registry {
 // TestGoldenExposition locks the renderer's exact output: families
 // sorted by name, samples by label set, canonical escaping and float
 // formatting. The golden file itself must also pass the grammar
-// validator, so the two halves of the package agree.
+// validator, so the renderer and obstest agree.
 func TestGoldenExposition(t *testing.T) {
 	var sb strings.Builder
 	if err := goldenRegistry().WritePrometheus(&sb); err != nil {
@@ -56,7 +58,7 @@ func TestGoldenExposition(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("exposition differs from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if err := ValidateExposition(strings.NewReader(got)); err != nil {
+	if err := obstest.ValidateExposition(strings.NewReader(got)); err != nil {
 		t.Errorf("golden exposition fails the grammar validator: %v", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/netdpsyn/netdpsyn/internal/obs/obstest"
 )
 
 func TestGetOrCreateIdentity(t *testing.T) {
@@ -86,7 +88,7 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if err := ValidateExposition(strings.NewReader(out)); err != nil {
+	if err := obstest.ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("own output fails validation: %v", err)
 	}
 }
@@ -105,7 +107,7 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(out, `esc_total{p="a\"b\\c\nd"} 1`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
-	if err := ValidateExposition(strings.NewReader(out)); err != nil {
+	if err := obstest.ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("escaped output fails validation: %v", err)
 	}
 }

@@ -1,7 +1,8 @@
-package obs
+package obstest
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -11,12 +12,14 @@ import (
 // must return (an error or nil) without panicking — the daemon runs it
 // against every /metrics scrape in tests, and CI runs this fuzzer as a
 // smoke pass, so a crash here is a crash in the observability path.
-// Seeded with the golden daemon exposition plus the grammar's edge
-// shapes (histogram contracts, duplicate TYPE lines, torn lines).
+// Seeded with the obs package's golden exposition plus the grammar's
+// edge shapes (histogram contracts, duplicate TYPE lines, torn lines).
 func FuzzValidateExposition(f *testing.F) {
-	if golden, err := os.ReadFile("testdata/exposition.golden"); err == nil {
-		f.Add(string(golden))
+	golden, err := os.ReadFile(filepath.Join("..", "testdata", "exposition.golden"))
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(string(golden))
 	for _, seed := range []string{
 		"",
 		"# HELP a b\n# TYPE a counter\na 1\n",

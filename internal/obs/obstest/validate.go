@@ -1,4 +1,9 @@
-package obs
+// Package obstest checks Prometheus text exposition for tests: the
+// obs renderer's golden file and the daemon's /metrics output run
+// through ValidateExposition. It shares no code with the renderer in
+// internal/obs, so a fault in one cannot mask the same fault in the
+// other.
+package obstest
 
 import (
 	"bufio"
@@ -92,7 +97,7 @@ func (v *validator) comment(s string) error {
 	if len(fields) < 2 || (fields[1] != "HELP" && fields[1] != "TYPE") {
 		return nil // free-form comment
 	}
-	if len(fields) < 3 || !validMetricName(fields[2]) {
+	if len(fields) < 3 || !validName(fields[2], true) {
 		return fmt.Errorf("malformed %s line %q", fields[1], s)
 	}
 	name := fields[2]
@@ -149,7 +154,7 @@ func (v *validator) sample(s string) error {
 	if err != nil {
 		return err
 	}
-	var labels []Label
+	var labels []label
 	if strings.HasPrefix(rest, "{") {
 		labels, rest, err = parseLabelSet(rest[1:])
 		if err != nil {
@@ -193,8 +198,8 @@ func (v *validator) sample(s string) error {
 		return err
 	}
 
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
-	key := name + renderLabels(labels, "")
+	sort.Slice(labels, func(i, j int) bool { return labels[i].name < labels[j].name })
+	key := name + labelKey(labels)
 	if v.series[key] {
 		return fmt.Errorf("duplicate series %s", key)
 	}
@@ -209,18 +214,18 @@ func (v *validator) sample(s string) error {
 	return nil
 }
 
-func (v *validator) histSample(family, suffix string, labels []Label, val float64) error {
+func (v *validator) histSample(family, suffix string, labels []label, val float64) error {
 	hc := v.hists[family]
 	var le string
-	base := make([]Label, 0, len(labels))
+	base := make([]label, 0, len(labels))
 	for _, l := range labels {
-		if l.Name == "le" {
-			le = l.Value
+		if l.name == "le" {
+			le = l.value
 			continue
 		}
 		base = append(base, l)
 	}
-	gkey := renderLabels(base, "")
+	gkey := labelKey(base)
 	g := hc.groups[gkey]
 	if g == nil {
 		g = &histGroup{}
@@ -301,7 +306,7 @@ func splitName(s string) (name, rest string, err error) {
 		i++
 	}
 	name = s[:i]
-	if !validMetricName(name) {
+	if !validName(name, true) {
 		return "", "", fmt.Errorf("invalid metric name %q", name)
 	}
 	return name, s[i:], nil
@@ -309,8 +314,8 @@ func splitName(s string) (name, rest string, err error) {
 
 // parseLabelSet parses `name="value",…}` (the opening brace already
 // consumed) and returns the labels plus the remainder after '}'.
-func parseLabelSet(s string) ([]Label, string, error) {
-	var out []Label
+func parseLabelSet(s string) ([]label, string, error) {
+	var out []label
 	for {
 		s = strings.TrimLeft(s, " ")
 		if strings.HasPrefix(s, "}") {
@@ -321,7 +326,7 @@ func parseLabelSet(s string) ([]Label, string, error) {
 			return nil, "", fmt.Errorf("unterminated label set")
 		}
 		lname := strings.TrimSpace(s[:eq])
-		if !validLabelName(lname) {
+		if !validName(lname, false) {
 			return nil, "", fmt.Errorf("invalid label name %q", lname)
 		}
 		s = strings.TrimLeft(s[eq+1:], " ")
@@ -356,7 +361,7 @@ func parseLabelSet(s string) ([]Label, string, error) {
 		if i >= len(s) {
 			return nil, "", fmt.Errorf("label %s: unterminated value", lname)
 		}
-		out = append(out, Label{Name: lname, Value: val.String()})
+		out = append(out, label{lname, val.String()})
 		s = s[i+1:]
 		s = strings.TrimLeft(s, " ")
 		if strings.HasPrefix(s, ",") {
@@ -369,4 +374,41 @@ func parseLabelSet(s string) ([]Label, string, error) {
 // +Inf/-Inf/NaN spellings.
 func parseValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
+}
+
+// label is one parsed label pair.
+type label struct{ name, value string }
+
+// labelKey renders a sorted label set as {a="b",c="d"} (empty for no
+// labels): the canonical series identity, and how errors name it.
+func labelKey(ls []label) string {
+	if len(ls) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, l := range ls {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", l.name, l.value)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// validName reports whether s is a legal metric name
+// ([a-zA-Z_:][a-zA-Z0-9_:]*), or with colon unset a legal label name
+// ([a-zA-Z_][a-zA-Z0-9_]*).
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		ok := c == '_' || (colon && c == ':') ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -25,8 +25,9 @@ import (
 	"github.com/netdpsyn/netdpsyn/internal/serve/persist"
 )
 
-// ErrBudgetExceeded is returned by Budget.Charge when a release would
-// cross the dataset's ρ ceiling; the HTTP layer maps it to 403.
+// ErrBudgetExceeded is returned by the Budget's charge methods when a
+// release would cross the dataset's ρ ceiling; the HTTP layer maps it
+// to 403.
 var ErrBudgetExceeded = fmt.Errorf("serve: dataset privacy budget exceeded")
 
 // ErrPersist is returned when durable state (the journal or the
@@ -54,7 +55,7 @@ type chargeJournal interface {
 //
 //   - A scalar: whole-trace releases and evaluations touch every
 //     record, so they compose sequentially with everything and their ρ
-//     simply adds (Charge).
+//     simply adds (ChargeAdmission, ChargeEval).
 //   - Per window key (span, bucket): a time-span windowed release
 //     touches only the records of one bucket, and a record's bucket
 //     is ⌊ts/span⌋ — a function of that record alone. Under parallel
@@ -93,7 +94,7 @@ func NewBudget(ceilingRho, delta float64) (*Budget, error) {
 	return &Budget{acct: acct, delta: delta}, nil
 }
 
-// bind attaches a journal: every subsequent Charge with a record is
+// bind attaches a journal: every subsequent charge with a record is
 // journaled durably before it is applied.
 func (b *Budget) bind(j chargeJournal) {
 	b.mu.Lock()
@@ -104,7 +105,7 @@ func (b *Budget) bind(j chargeJournal) {
 // restore replays a recovered scalar ledger position. It bypasses the
 // ceiling check (the charges were admitted under the ceiling when
 // they happened); if corrupt state pushes spend past the ceiling,
-// every further Charge fails — the conservative direction.
+// every further charge fails — the conservative direction.
 func (b *Budget) restore(spentRho float64, releases int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,30 +164,43 @@ func (b *Budget) spentLocked() float64 {
 	return b.acct.Spent() + b.windowSpentLocked()
 }
 
-// Charge admits a release costing rho on the scalar axis, or refuses
-// without mutating the ledger: ErrBudgetExceeded (wrapped with the
-// shortfall) when the release would cross the ceiling, ErrPersist
-// when a bound journal cannot make the charge durable. The order is
-// ceiling check → journal → apply, so a charge is durable before
-// anything acts on it and an unjournaled ρ is never charged.
-func (b *Budget) Charge(rho float64, rec *persist.ChargeRecord) error {
-	return b.ChargeAdmission(rho, rho, rec)
+// fitsLocked is the ledger's one ceiling rule: it reports whether
+// raising the ledger position by increase stays within the ceiling.
+// The tolerance is relative, a billionth of the ceiling: it absorbs
+// the rounding drift of a running sum of charges, so the release that
+// fits the ceiling exactly is admitted, yet it shrinks with the
+// ceiling, so under a tiny ceiling a release many times its size is
+// still refused. A NaN or negative increase never fits. Caller holds
+// b.mu.
+func (b *Budget) fitsLocked(increase float64) bool {
+	if !(increase >= 0) {
+		return false
+	}
+	return b.spentLocked()+increase <= b.acct.Total()*(1+1e-9)
 }
 
-// ChargeAdmission is Charge with the ceiling gate decoupled from the
-// applied scalar spend: the admission is refused unless `gate` more ρ
-// still fits, but only `rho` is applied. Span and follow jobs admit
-// with gate = one window's ρ and rho = 0 — their spend lands per
-// window key while the job runs (ChargeWindow), but an admission that
-// could not afford even one fresh window must 403 up front rather
-// than fail at its first window.
+// ChargeAdmission admits a release, or refuses it without mutating
+// the ledger: ErrBudgetExceeded (wrapped with the shortfall) when
+// `gate` more ρ would cross the ceiling, ErrPersist when a bound
+// journal cannot make the charge durable. Only `rho` is applied, on
+// the scalar axis; a plain release passes gate = rho. Span and follow
+// jobs admit with gate = one window's ρ and rho = 0 — their spend
+// lands per window key while the job runs (ChargeWindow), but an
+// admission that could not afford even one fresh window must 403 up
+// front rather than fail at its first window. The order is ceiling
+// check → journal → apply, so a charge is durable before anything
+// acts on it and an unjournaled ρ is never charged.
 func (b *Budget) ChargeAdmission(gate, rho float64, rec *persist.ChargeRecord) error {
+	if !(rho >= 0) {
+		return fmt.Errorf("serve: admission charge must be non-negative, got %v", rho)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if gate < rho {
 		gate = rho
 	}
-	if spent := b.spentLocked(); spent+gate > b.acct.Total() {
+	if !b.fitsLocked(gate) {
+		spent := b.spentLocked()
 		return fmt.Errorf("%w: want ρ=%.6g, remaining ρ=%.6g of %.6g",
 			ErrBudgetExceeded, gate, b.acct.Total()-spent, b.acct.Total())
 	}
@@ -195,8 +209,8 @@ func (b *Budget) ChargeAdmission(gate, rho float64, rec *persist.ChargeRecord) e
 			return fmt.Errorf("%w: %v", ErrPersist, err)
 		}
 	}
-	// Cannot fail: the combined check above is stricter than the
-	// accountant's scalar one, under the same lock.
+	// Cannot fail: the gate above is stricter than the accountant's
+	// own rule, on a position at least as large, under the same lock.
 	if err := b.acct.Spend(rho); err != nil {
 		return err
 	}
@@ -211,15 +225,16 @@ func (b *Budget) ChargeAdmission(gate, rho float64, rec *persist.ChargeRecord) e
 // rho = 0 is the release-only evaluation: it reads nothing but the
 // released CSV, which is free post-processing, but the admission is
 // still journaled so a killed evaluation replays as a (zero-)charged
-// failure instead of vanishing. Order is the same as Charge: ceiling
-// check → journal → apply, never a refund.
+// failure instead of vanishing. Order is the same as ChargeAdmission:
+// ceiling check → journal → apply, never a refund.
 func (b *Budget) ChargeEval(rho float64, rec *persist.EvalChargeRecord) error {
 	if !(rho >= 0) {
 		return fmt.Errorf("serve: evaluation charge must be non-negative, got %v", rho)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if spent := b.spentLocked(); spent+rho > b.acct.Total() {
+	if !b.fitsLocked(rho) {
+		spent := b.spentLocked()
 		return fmt.Errorf("%w: evaluation wants ρ=%.6g, remaining ρ=%.6g of %.6g",
 			ErrBudgetExceeded, rho, b.acct.Total()-spent, b.acct.Total())
 	}
@@ -244,10 +259,11 @@ func (b *Budget) ChargeEval(rho float64, rec *persist.EvalChargeRecord) error {
 // not become its span's max leaves the position unchanged (parallel
 // composition across distinct buckets); re-charging the leading key
 // moves it one-for-one (sequential composition on the same bucket).
-// Journal-before-apply as in Charge. Note the journaled record names
-// the bucket: for feeds whose bucket occupancy is itself sensitive,
-// the journal (like the result stream) is part of the release
-// surface — see the declared-range hardening at the HTTP layer.
+// Journal-before-apply as in ChargeAdmission. Note the journaled
+// record names the bucket: for feeds whose bucket occupancy is itself
+// sensitive, the journal (like the result stream) is part of the
+// release surface — see the declared-range hardening at the HTTP
+// layer.
 func (b *Budget) ChargeWindow(span, bucket int64, rho float64, rec *persist.WindowChargeRecord) error {
 	if !(rho >= 0) {
 		return fmt.Errorf("serve: window charge must be non-negative, got %v", rho)
@@ -270,7 +286,8 @@ func (b *Budget) ChargeWindow(span, bucket int64, rho float64, rec *persist.Wind
 	if increase < 0 {
 		increase = 0
 	}
-	if spent := b.spentLocked(); spent+increase > b.acct.Total() {
+	if !b.fitsLocked(increase) {
+		spent := b.spentLocked()
 		return fmt.Errorf("%w: window (span %d, bucket %d) needs ρ=%.6g beyond the position, remaining ρ=%.6g of %.6g",
 			ErrBudgetExceeded, span, bucket, increase, b.acct.Total()-spent, b.acct.Total())
 	}
@@ -351,7 +368,9 @@ func (b *Budget) Snapshot() Status {
 		Delta:        b.delta,
 	}
 	if s.RemainingRho < 0 {
-		s.RemainingRho = 0 // corrupt over-ceiling restore: locked ledger
+		// A corrupt over-ceiling restore (a locked ledger), or the
+		// rounding drift fitsLocked admits at an exact fit.
+		s.RemainingRho = 0
 	}
 	if len(b.windowRho) > 0 {
 		s.WindowRho = make(map[string]float64)

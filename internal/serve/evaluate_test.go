@@ -20,7 +20,7 @@ import (
 	"time"
 
 	netdpsyn "github.com/netdpsyn/netdpsyn"
-	"github.com/netdpsyn/netdpsyn/internal/obs"
+	"github.com/netdpsyn/netdpsyn/internal/obs/obstest"
 	"github.com/netdpsyn/netdpsyn/internal/serve"
 )
 
@@ -212,7 +212,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	body, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	exposition := string(body)
-	if err := obs.ValidateExposition(strings.NewReader(exposition)); err != nil {
+	if err := obstest.ValidateExposition(strings.NewReader(exposition)); err != nil {
 		t.Fatalf("exposition invalid after evaluations: %v", err)
 	}
 	for _, fam := range []string{

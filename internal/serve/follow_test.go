@@ -467,7 +467,7 @@ func TestPerWindowKeyComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Charge(1.0, nil); err != nil {
+	if err := b2.ChargeAdmission(1.0, 1.0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := b2.ChargeWindow(100, 1, 1.0, nil); !errors.Is(err, serve.ErrBudgetExceeded) {

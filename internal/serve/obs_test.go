@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/netdpsyn/netdpsyn/internal/obs"
+	"github.com/netdpsyn/netdpsyn/internal/obs/obstest"
 	"github.com/netdpsyn/netdpsyn/internal/serve"
 )
 
@@ -119,7 +120,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := buf.String()
-	if err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
+	if err := obstest.ValidateExposition(strings.NewReader(body)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
 	for _, want := range []string{

@@ -574,10 +574,10 @@ func (failingChargeJournal) AppendEvalCharge(persist.EvalChargeRecord) error {
 	return errors.New("injected charge-journal failure")
 }
 
-// TestBudgetChargeJournalPlumbing unit-tests the error plumbing the
-// satellite asks for: a journal-write failure surfaces as ErrPersist
-// from Budget.Charge with the ledger unmutated, and is distinguishable
-// from ErrBudgetExceeded.
+// TestBudgetChargeJournalPlumbing unit-tests the error plumbing: a
+// journal-write failure surfaces as ErrPersist from
+// Budget.ChargeAdmission with the ledger unmutated, and is
+// distinguishable from ErrBudgetExceeded.
 func TestBudgetChargeJournalPlumbing(t *testing.T) {
 	b, err := NewBudget(1.0, 1e-5)
 	if err != nil {
@@ -585,7 +585,7 @@ func TestBudgetChargeJournalPlumbing(t *testing.T) {
 	}
 	b.bind(failingChargeJournal{})
 	rec := &persist.ChargeRecord{JobID: "job-1", DatasetID: "ds-1", Rho: 0.5}
-	err = b.Charge(0.5, rec)
+	err = b.ChargeAdmission(0.5, 0.5, rec)
 	if !errors.Is(err, ErrPersist) {
 		t.Fatalf("charge with failing journal = %v, want ErrPersist", err)
 	}
@@ -597,12 +597,19 @@ func TestBudgetChargeJournalPlumbing(t *testing.T) {
 	}
 	// The ceiling check still runs first: an over-ceiling charge is a
 	// 403-shaped refusal even while the journal is down.
-	if err := b.Charge(2.0, rec); !errors.Is(err, ErrBudgetExceeded) {
+	if err := b.ChargeAdmission(2.0, 2.0, rec); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("over-ceiling charge = %v, want ErrBudgetExceeded", err)
+	}
+	// An invalid ρ is refused before the journal is touched, so no
+	// record of a charge that was never applied can reach it.
+	for _, bad := range []float64{math.NaN(), -0.5} {
+		if err := b.ChargeAdmission(0.1, bad, rec); err == nil || errors.Is(err, ErrPersist) {
+			t.Fatalf("charge of ρ=%v = %v, want a refusal before the journal", bad, err)
+		}
 	}
 	// Without a record (volatile callers) the journal is not
 	// consulted.
-	if err := b.Charge(0.5, nil); err != nil {
+	if err := b.ChargeAdmission(0.5, 0.5, nil); err != nil {
 		t.Fatalf("record-less charge = %v", err)
 	}
 	if st := b.Snapshot(); st.SpentRho != 0.5 || st.Releases != 1 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -566,17 +567,65 @@ func TestBudgetLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Charge(0.6, nil); err != nil {
+	if err := b.ChargeAdmission(0.6, 0.6, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Charge(0.6, nil); err == nil {
+	if err := b.ChargeAdmission(0.6, 0.6, nil); err == nil {
 		t.Fatal("overdraw must error")
 	}
-	if err := b.Charge(0.4, nil); err != nil {
+	if err := b.ChargeAdmission(0.4, 0.4, nil); err != nil {
 		t.Fatalf("exact remainder refused: %v", err)
 	}
 	st := b.Snapshot()
 	if math.Abs(st.SpentRho-1.0) > 1e-9 || st.Releases != 2 {
 		t.Fatalf("ledger state %+v", st)
+	}
+
+	// A ceiling of exactly k releases admits all k and refuses the
+	// next, whatever rounding the running sum of charges picks up: at
+	// ε = 0.1 the float sum of 43 charges lands above 43·ρ.
+	rho, err := netdpsyn.RhoFromEpsDelta(0.1, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 43
+	for _, tc := range []struct {
+		name   string
+		charge func(*serve.Budget) error
+	}{
+		{"ChargeAdmission", func(b *serve.Budget) error { return b.ChargeAdmission(rho, rho, nil) }},
+		{"ChargeWindow", func(b *serve.Budget) error { return b.ChargeWindow(1000, 0, rho, nil) }},
+	} {
+		b, err := serve.NewBudget(k*rho, 1e-5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= k; i++ {
+			if err := tc.charge(b); err != nil {
+				t.Fatalf("%s: charge %d under a ceiling of exactly %d: %v", tc.name, i, k, err)
+			}
+		}
+		if err := tc.charge(b); !errors.Is(err, serve.ErrBudgetExceeded) {
+			t.Fatalf("%s: charge %d under a ceiling of %d = %v, want ErrBudgetExceeded", tc.name, k+1, k, err)
+		}
+	}
+
+	// The drift tolerance scales with the ceiling: under ρ = 1e-10 a
+	// release ten times the ceiling is refused on every axis.
+	tiny, err := serve.NewBudget(1e-10, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tiny.ChargeAdmission(1e-9, 1e-9, nil); !errors.Is(err, serve.ErrBudgetExceeded) {
+		t.Fatalf("ChargeAdmission of 10× a tiny ceiling = %v, want ErrBudgetExceeded", err)
+	}
+	if err := tiny.ChargeEval(1e-9, nil); !errors.Is(err, serve.ErrBudgetExceeded) {
+		t.Fatalf("ChargeEval of 10× a tiny ceiling = %v, want ErrBudgetExceeded", err)
+	}
+	if err := tiny.ChargeWindow(1000, 0, 1e-9, nil); !errors.Is(err, serve.ErrBudgetExceeded) {
+		t.Fatalf("ChargeWindow of 10× a tiny ceiling = %v, want ErrBudgetExceeded", err)
+	}
+	if st := tiny.Snapshot(); st.SpentRho != 0 || st.Releases != 0 {
+		t.Fatalf("refused charges moved the ledger: %+v", st)
 	}
 }

@@ -131,85 +131,29 @@ func (c *CountSketch) Estimate(key uint64) float64 {
 // Name implements Sketch.
 func (c *CountSketch) Name() string { return "CS" }
 
-// UnivMon is Universal Monitoring (Liu et al., SIGCOMM'16): a
-// hierarchy of Count sketches over successively subsampled substreams
-// (level l keeps keys whose hash has l leading zero bits). Point
-// estimates come from level 0; the hierarchy supports G-sum queries
-// such as the L2 norm used for heavy-hitter thresholds.
+// UnivMon is Universal Monitoring (Liu et al., SIGCOMM'16) as Figure 2
+// queries it. UnivMon keeps a hierarchy of Count sketches over
+// successively subsampled substreams and answers a point query from
+// level 0, whose Count sketch sees every key; the deeper levels serve
+// only G-sum queries (such as the L2 norm), which Figure 2 does not
+// ask, so this type keeps level 0 alone.
 type UnivMon struct {
-	levels  []*CountSketch
-	sampler hashFn
-	heavy   []map[uint64]struct{} // per-level candidate heavy keys
-	maxKeys int
+	level0 *CountSketch
 }
 
-// NewUnivMon creates a UnivMon with the given number of levels and
-// per-level d×w Count sketches.
-func NewUnivMon(levels, d, w int, seed uint64) *UnivMon {
-	u := &UnivMon{sampler: hashFn{seed: seed ^ 0xabcddcba}, maxKeys: 4 * w}
-	for l := 0; l < levels; l++ {
-		u.levels = append(u.levels, NewCountSketch(d, w, seed+uint64(l)*7))
-		u.heavy = append(u.heavy, make(map[uint64]struct{}))
-	}
-	return u
+// NewUnivMon creates a UnivMon whose level-0 Count sketch is d×w.
+func NewUnivMon(d, w int, seed uint64) *UnivMon {
+	return &UnivMon{level0: NewCountSketch(d, w, seed)}
 }
 
-// levelOf returns the deepest level the key belongs to (number of
-// leading sampling bits that are zero, capped at the hierarchy).
-func (u *UnivMon) levelOf(key uint64) int {
-	h := u.sampler.hash(key)
-	l := 0
-	for l < len(u.levels)-1 && h&(1<<uint(l)) == 0 {
-		l++
-	}
-	return l
-}
-
-// Update adds count occurrences of key to all levels that sample it.
+// Update adds count occurrences of key.
 func (u *UnivMon) Update(key uint64, count int64) {
-	deepest := u.levelOf(key)
-	for l := 0; l <= deepest; l++ {
-		u.levels[l].Update(key, count)
-		if len(u.heavy[l]) < u.maxKeys {
-			u.heavy[l][key] = struct{}{}
-		}
-	}
+	u.level0.Update(key, count)
 }
 
 // Estimate returns the level-0 Count-sketch estimate.
 func (u *UnivMon) Estimate(key uint64) float64 {
-	return u.levels[0].Estimate(key)
-}
-
-// GSum estimates Σ g(f_k) over distinct keys via the UnivMon
-// recursion Y_l = 2·Y_{l+1} + Σ_{heavy at l} g(f̂) (1 − 2·[sampled at l+1]).
-func (u *UnivMon) GSum(g func(float64) float64) float64 {
-	L := len(u.levels)
-	y := 0.0
-	for _, k := range keysOf(u.heavy[L-1]) {
-		y += g(u.levels[L-1].Estimate(k))
-	}
-	for l := L - 2; l >= 0; l-- {
-		yl := 2 * y
-		for _, k := range keysOf(u.heavy[l]) {
-			ind := 0.0
-			if u.levelOf(k) > l {
-				ind = 1
-			}
-			yl += g(u.levels[l].Estimate(k)) * (1 - 2*ind)
-		}
-		y = yl
-	}
-	return y
-}
-
-func keysOf(m map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return u.level0.Estimate(key)
 }
 
 // Name implements Sketch.
@@ -271,7 +215,7 @@ func NewByName(name string, seed uint64) (Sketch, error) {
 	case "CS":
 		return NewCountSketch(d, w, seed), nil
 	case "UM":
-		return NewUnivMon(8, d, w/2, seed), nil
+		return NewUnivMon(d, w/2, seed), nil
 	case "NS":
 		return NewNitroSketch(d, w, 0.3, seed), nil
 	default:

@@ -1,8 +1,9 @@
 // Package stats provides the statistical metrics used throughout the
 // NetDPSyn evaluation: Jensen-Shannon divergence, Earth Mover's Distance,
-// Spearman and Pearson correlation, relative error, and small histogram
-// helpers. All functions operate on plain float64 slices so they can be
-// used on marginal tables, attribute columns, and metric vectors alike.
+// total variation, entropy, and Spearman and Pearson correlation. The
+// functions operate on plain float64 slices, or on count maps keyed by
+// category, so they can be used on marginal tables, attribute columns,
+// and metric vectors alike.
 package stats
 
 import (
@@ -167,26 +168,6 @@ func JSDCounts[K comparable](p, q map[K]float64) float64 {
 	return d
 }
 
-// EMDHistogram computes the 1-D Earth Mover's Distance (Wasserstein-1)
-// between two histograms over the same ordered bins with unit spacing.
-// Both histograms are normalized to probability distributions first.
-func EMDHistogram(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, ErrLengthMismatch
-	}
-	if len(p) == 0 {
-		return 0, ErrEmpty
-	}
-	pn := Normalize(append([]float64(nil), p...))
-	qn := Normalize(append([]float64(nil), q...))
-	var emd, carry float64
-	for i := range pn {
-		carry += pn[i] - qn[i]
-		emd += math.Abs(carry)
-	}
-	return emd, nil
-}
-
 // EMDSamples computes the 1-D Earth Mover's Distance between two
 // empirical samples, i.e. the area between their empirical CDFs.
 // The inputs are not modified.
@@ -253,19 +234,6 @@ func NormalizeRange(xs []float64, lo, hi float64) []float64 {
 		out[i] = lo + (x-mn)/(mx-mn)*(hi-lo)
 	}
 	return out
-}
-
-// RelativeError returns |got-want| / |want|. When want is zero it
-// returns 0 if got is also zero and +Inf otherwise, matching the
-// convention used for the sketching experiments.
-func RelativeError(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }
 
 // Ranks assigns fractional ranks (average rank for ties, 1-based) to xs.
@@ -413,63 +381,6 @@ func EntropyCounts[K comparable](counts map[K]float64) float64 {
 	return h
 }
 
-// L1Distance returns the L1 distance between two equal-length vectors.
-func L1Distance(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, ErrLengthMismatch
-	}
-	var s float64
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s, nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0], nil
-	}
-	if q >= 1 {
-		return s[len(s)-1], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// Histogram counts xs into n equal-width bins spanning [lo, hi]. Values
-// outside the range are clamped into the first or last bin.
-func Histogram(xs []float64, n int, lo, hi float64) []float64 {
-	h := make([]float64, n)
-	if n == 0 || hi <= lo {
-		return h
-	}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		h[b]++
-	}
-	return h
-}
-
 // CountsOf tallies the frequency of each value in xs.
 func CountsOf[K comparable](xs []K) map[K]float64 {
 	m := make(map[K]float64)
@@ -477,28 +388,4 @@ func CountsOf[K comparable](xs []K) map[K]float64 {
 		m[x]++
 	}
 	return m
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs —
-// the statistic the paper names as a downstream use of packet-arrival
-// intervals (§3.2). It returns 0 when the series is too short or has
-// no variance.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || n <= lag+1 {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
 }

@@ -123,22 +123,6 @@ func TestJSDCounts(t *testing.T) {
 	}
 }
 
-func TestEMDHistogram(t *testing.T) {
-	// Mass shifted by one bin = EMD 1 (unit spacing).
-	d, err := EMDHistogram([]float64{1, 0, 0}, []float64{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d, 1, 1e-12) {
-		t.Errorf("EMD shift = %v, want 1", d)
-	}
-	// Identity.
-	d, _ = EMDHistogram([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if !almostEq(d, 0, 1e-12) {
-		t.Errorf("EMD identity = %v", d)
-	}
-}
-
 func TestEMDSamples(t *testing.T) {
 	d, err := EMDSamples([]float64{0, 0, 0}, []float64{1, 1, 1})
 	if err != nil {
@@ -194,18 +178,6 @@ func TestNormalizeRange(t *testing.T) {
 	mid := NormalizeRange([]float64{4, 4}, 0.1, 0.9)
 	if mid[0] != 0.5 || mid[1] != 0.5 {
 		t.Errorf("constant input = %v", mid)
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(11, 10); !almostEq(got, 0.1, 1e-12) {
-		t.Errorf("RelativeError = %v", got)
-	}
-	if got := RelativeError(0, 0); got != 0 {
-		t.Errorf("0/0 = %v", got)
-	}
-	if got := RelativeError(1, 0); !math.IsInf(got, 1) {
-		t.Errorf("x/0 = %v, want +Inf", got)
 	}
 }
 
@@ -287,65 +259,9 @@ func TestTotalVariation(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {0.5, 3}, {1, 5}, {0.25, 2},
-	} {
-		got, err := Quantile(xs, tc.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, tc.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 1, 2, 3, 10, -5}, 4, 0, 4)
-	if Sum(h) != 6 {
-		t.Errorf("histogram should count all (clamped): %v", h)
-	}
-	if h[3] != 2 { // 3 and the clamped 10
-		t.Errorf("h[3] = %v, want 2", h[3])
-	}
-	if h[0] != 2 { // 0 and the clamped -5
-		t.Errorf("h[0] = %v, want 2", h[0])
-	}
-}
-
 func TestCountsOf(t *testing.T) {
 	c := CountsOf([]string{"a", "b", "a"})
 	if c["a"] != 2 || c["b"] != 1 {
 		t.Errorf("CountsOf = %v", c)
-	}
-}
-
-func TestL1Distance(t *testing.T) {
-	d, err := L1Distance([]float64{1, 2}, []float64{3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 4 {
-		t.Errorf("L1 = %v, want 4", d)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A constant-increment series is perfectly autocorrelated after
-	// detrending fails; use an alternating series: lag-1 ≈ -1.
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if ac := Autocorrelation(alt, 1); ac > -0.8 {
-		t.Errorf("alternating lag-1 autocorrelation = %v, want ≈ -1", ac)
-	}
-	if ac := Autocorrelation(alt, 2); ac < 0.5 {
-		t.Errorf("alternating lag-2 autocorrelation = %v, want ≈ +1", ac)
-	}
-	if Autocorrelation([]float64{1, 2}, 5) != 0 {
-		t.Error("short series should return 0")
-	}
-	if Autocorrelation([]float64{3, 3, 3, 3}, 1) != 0 {
-		t.Error("constant series should return 0")
 	}
 }

@@ -28,7 +28,6 @@ const (
 	FieldChksum  = "chksum"
 	FieldFlag    = "flag"
 	FieldLabel   = "label"
-	FieldType    = "type"
 	// FieldTSDiff is the auxiliary temporal attribute NetDPSyn adds
 	// during pre-processing (§3.2).
 	FieldTSDiff = "tsdiff"

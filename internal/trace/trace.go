@@ -1,8 +1,8 @@
 // Package trace provides the network-record substrate: typed Packet
-// and Flow records, the IP 5-tuple flow key, and the packet→flow
-// aggregation used both by the dataset emulators and by the NetML
-// feature extraction. The design follows gopacket's Endpoint/Flow
-// idiom: a FiveTuple is a comparable value usable as a map key.
+// and Flow records, the IP 5-tuple flow key, and the per-5-tuple
+// packet grouping used by the NetML feature extraction. The design
+// follows gopacket's Endpoint/Flow idiom: a FiveTuple is a comparable
+// value usable as a map key.
 package trace
 
 import (
@@ -60,13 +60,6 @@ type FiveTuple struct {
 	Proto   Proto
 }
 
-// Reverse returns the tuple with the endpoints swapped (the reply
-// direction of the same conversation).
-func (t FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{SrcIP: t.DstIP, DstIP: t.SrcIP,
-		SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
-}
-
 // String renders the tuple in "src:sport > dst:dport/proto" form.
 func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d > %s:%d/%s",
@@ -98,35 +91,6 @@ type Flow struct {
 	Packets int64 // number of packets (pkt)
 	Bytes   int64 // number of bytes (byt)
 	Label   int   // label code (benign/attack class)
-}
-
-// Aggregate groups packets by 5-tuple into flows, preserving
-// first-seen order of flows. Packets need not be time-sorted; each
-// group is sorted internally.
-func Aggregate(pkts []Packet) []Flow {
-	groups := GroupByTuple(pkts)
-	flows := make([]Flow, 0, len(groups))
-	for _, g := range groups {
-		f := Flow{FiveTuple: g.Tuple, TS: g.Packets[0].TS, Label: g.Packets[0].Label}
-		var last int64
-		for _, p := range g.Packets {
-			f.Packets++
-			f.Bytes += int64(p.Len)
-			if p.TS < f.TS {
-				f.TS = p.TS
-			}
-			if p.TS > last {
-				last = p.TS
-			}
-			// A flow is labelled malicious if any member packet is.
-			if p.Label > f.Label {
-				f.Label = p.Label
-			}
-		}
-		f.TD = last - f.TS
-		flows = append(flows, f)
-	}
-	return flows
 }
 
 // Group is a 5-tuple bucket of time-sorted packets.

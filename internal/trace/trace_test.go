@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 )
@@ -19,65 +18,22 @@ func TestProtoString(t *testing.T) {
 	}
 }
 
-func TestFiveTupleReverse(t *testing.T) {
-	ft := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
-	r := ft.Reverse()
-	if r.SrcIP != 2 || r.DstIP != 1 || r.SrcPort != 4 || r.DstPort != 3 || r.Proto != ProtoTCP {
-		t.Errorf("Reverse = %+v", r)
-	}
-	if r.Reverse() != ft {
-		t.Error("double reverse should be identity")
-	}
-}
-
-func TestFiveTupleReverseProperty(t *testing.T) {
-	f := func(a, b uint32, c, d uint16, p uint8) bool {
-		ft := FiveTuple{SrcIP: a, DstIP: b, SrcPort: c, DstPort: d, Proto: Proto(p)}
-		return ft.Reverse().Reverse() == ft
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	ft := FiveTuple{SrcIP: 10, DstIP: 20, SrcPort: 1000, DstPort: 80, Proto: ProtoTCP}
-	other := FiveTuple{SrcIP: 11, DstIP: 20, SrcPort: 1001, DstPort: 443, Proto: ProtoTCP}
-	pkts := []Packet{
-		{FiveTuple: ft, TS: 100, Len: 60},
-		{FiveTuple: other, TS: 150, Len: 40},
-		{FiveTuple: ft, TS: 300, Len: 1500, Label: 1},
-		{FiveTuple: ft, TS: 200, Len: 100},
-	}
-	flows := Aggregate(pkts)
-	if len(flows) != 2 {
-		t.Fatalf("flows = %d, want 2", len(flows))
-	}
-	f := flows[0] // first-seen order: ft first
-	if f.FiveTuple != ft {
-		t.Fatalf("flow order wrong: %+v", f.FiveTuple)
-	}
-	if f.Packets != 3 || f.Bytes != 1660 {
-		t.Errorf("pkt/byt = %d/%d", f.Packets, f.Bytes)
-	}
-	if f.TS != 100 || f.TD != 200 {
-		t.Errorf("ts/td = %d/%d", f.TS, f.TD)
-	}
-	if f.Label != 1 {
-		t.Errorf("flow label should be max of packet labels, got %d", f.Label)
-	}
-}
-
 func TestGroupByTupleSortsWithin(t *testing.T) {
 	ft := FiveTuple{SrcIP: 1, DstIP: 2, Proto: ProtoUDP}
+	other := FiveTuple{SrcIP: 3, DstIP: 2, Proto: ProtoTCP}
 	pkts := []Packet{
 		{FiveTuple: ft, TS: 30},
+		{FiveTuple: other, TS: 5},
 		{FiveTuple: ft, TS: 10},
 		{FiveTuple: ft, TS: 20},
 	}
 	groups := GroupByTuple(pkts)
-	if len(groups) != 1 {
-		t.Fatalf("groups = %d", len(groups))
+	if len(groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(groups))
+	}
+	// Groups come in first-seen order, whatever their timestamps.
+	if groups[0].Tuple != ft || groups[1].Tuple != other {
+		t.Fatalf("group order: %+v, %+v", groups[0].Tuple, groups[1].Tuple)
 	}
 	g := groups[0].Packets
 	if g[0].TS != 10 || g[1].TS != 20 || g[2].TS != 30 {

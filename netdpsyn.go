@@ -25,7 +25,6 @@ import (
 	"math"
 	"strconv"
 
-	"github.com/netdpsyn/netdpsyn/internal/binning"
 	"github.com/netdpsyn/netdpsyn/internal/core"
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 	"github.com/netdpsyn/netdpsyn/internal/dp"
@@ -707,13 +706,3 @@ type Accountant = dp.Accountant
 func NewAccountant(rho float64) (*Accountant, error) {
 	return dp.NewAccountant(rho)
 }
-
-// AnonymizeNote documents why plain anonymization is insufficient:
-// see the internal/anonymize package for a CryptoPAn-style
-// prefix-preserving anonymizer, and §2.1 of the paper for the
-// linkage-attack argument that motivates DP synthesis instead.
-const AnonymizeNote = "prefix-preserving anonymization is vulnerable to linkage attacks; prefer DP synthesis"
-
-// ExampleConstraint re-exports the decode-time constraint type for
-// advanced users extending the pipeline.
-type ExampleConstraint = binning.GreaterEq
